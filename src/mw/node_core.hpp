@@ -1,9 +1,8 @@
 // The reusable space-server node core (DESIGN.md §10, §16).
 //
-// Historically this class WAS mw::SpaceServer: the session-based dispatcher
-// that exposes a SpaceEngine over a ServerTransport (the paper's
-// "SpaceServer" Java class, Figures 3-5). The federation refactor extracted
-// it so that N nodes can be instantiated cheaply on one sim kernel, each
+// The session-based dispatcher that exposes a SpaceEngine over a
+// ServerTransport (the paper's "SpaceServer" Java class, Figures 3-5),
+// built so that N nodes can be instantiated cheaply on one sim kernel, each
 // jointly owning a consistent-hash slice of the type_key space:
 //
 //  * node identity + ownership filter — a node configured with an ownership
@@ -24,8 +23,9 @@
 //    the buffered records in ticket order) loses no acknowledged write.
 //
 // All of this is inert by default: a NodeCore with no ownership predicate,
-// no ticket counter and no standby behaves bit-exactly like the historical
-// single SpaceServer — same event schedule, same stats, same wire bytes.
+// no ticket counter and no standby behaves bit-exactly like a lone
+// single-server deployment — same event schedule, same stats, same wire
+// bytes.
 //
 // Session/dispatch semantics are unchanged from the pre-federation server:
 // see ServerConfig below for pipeline_depth / max_service_slots /
@@ -47,7 +47,7 @@
 #include "src/mw/transport.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/space/oplog.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 namespace tb::obs {
 class Registry;

@@ -12,84 +12,58 @@ SpaceEngine::SpaceEngine(sim::Simulator& sim, SpaceConfig config)
   TB_REQUIRE_MSG(config_.execution_mode == ExecutionMode::kDeterministic,
                  "SpaceEngine is the deterministic runtime; threaded configs "
                  "belong to ThreadedSpaceEngine (threaded.hpp)");
-  shards_.resize(config_.shard_count < 1 ? 1 : config_.shard_count);
+  const int shards = config_.shard_count < 1 ? 1 : config_.shard_count;
+  shards_.reserve(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    shards_.emplace_back(config_);
+    stores_.push_back(&shards_.back().store);
+  }
 }
 
 std::size_t SpaceEngine::size() const { return entry_count_; }
 
 std::vector<Tuple> SpaceEngine::snapshot() const {
-  // Id-ordered merge across the shard maps, exactly like the wildcard read
-  // path — but without stats side effects, so snapshotting is observation.
+  std::vector<std::pair<std::uint64_t, Tuple>> entries = snapshot_with_ids();
   std::vector<Tuple> out;
-  out.reserve(entry_count_);
-  const sim::Time now = sim_->now();
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const Entry& entry = (cursor[best]++)->second;
-    if (entry.expires_at <= now) continue;
-    out.push_back(entry.tuple);
-  }
+  out.reserve(entries.size());
+  for (auto& entry : entries) out.push_back(std::move(entry.second));
   return out;
 }
 
 std::optional<std::pair<std::uint64_t, Tuple>> SpaceEngine::peek_oldest(
     const Template& tmpl) {
-  const Found found = find_match(tmpl);
-  if (!found.ok) return std::nullopt;
+  const EntryRef found = find_match(tmpl);
+  if (!found) return std::nullopt;
   return std::make_pair(found.it->first, found.it->second.tuple);
 }
 
 std::optional<Tuple> SpaceEngine::take_by_id(std::uint64_t id) {
-  const sim::Time now = sim_->now();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(id);
-    if (it == shards_[s].entries.end()) continue;
-    if (it->second.expires_at <= now) return std::nullopt;  // expiry queued
-    Tuple tuple = std::move(it->second.tuple);
-    erase_entry(static_cast<int>(s), it);
-    ++stats_.takes;
-    return tuple;
-  }
-  return std::nullopt;
+  const EntryRef found = find_by_id(stores_, id);
+  // An expired entry whose expiry event is still queued is already gone.
+  if (!found || !found.it->second.visible(sim_->now())) return std::nullopt;
+  Tuple tuple = std::move(found.it->second.tuple);
+  erase_entry(found);
+  ++stats_.takes;
+  return tuple;
 }
 
 std::vector<std::pair<std::uint64_t, Tuple>> SpaceEngine::snapshot_with_ids()
     const {
+  // The id-ordered merge of the wildcard read path, without stats side
+  // effects, so snapshotting is observation.
   std::vector<std::pair<std::uint64_t, Tuple>> out;
   out.reserve(entry_count_);
   const sim::Time now = sim_->now();
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto& [id, entry] = *(cursor[best]++);
-    if (entry.expires_at <= now) continue;
-    out.emplace_back(id, entry.tuple);
-  }
+  merge_by_id(stores_, [&](int, ShardStore::iterator it) {
+    if (it->second.visible(now)) out.emplace_back(it->first, it->second.tuple);
+    return true;
+  });
   return out;
 }
 
 std::size_t SpaceEngine::stored_bytes() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.stored_bytes;
+  for (const Shard& shard : shards_) total += shard.store.stored_bytes();
   return total;
 }
 
@@ -136,56 +110,27 @@ void SpaceEngine::publish(std::uint64_t id, Tuple tuple, sim::Time expires_at) {
   const int shard_idx = shard_of(key);
   Shard& shard = shards_[shard_idx];
 
-  // Serve blocked operations in registration order: the shard's queue and
-  // the cross-shard wildcard queue are each id-ordered (ids are monotonic
-  // and waiters append), so a two-pointer merge visits the union oldest
-  // registration first — the wakeup order is independent of shard layout.
-  // Blocked reads each get a copy; the first matching blocked take consumes
-  // the tuple.
-  auto named = shard.waiters.begin();
-  auto wild = wildcard_waiters_.begin();
-  while (named != shard.waiters.end() || wild != wildcard_waiters_.end()) {
-    const bool pick_named =
-        wild == wildcard_waiters_.end() ||
-        (named != shard.waiters.end() && named->id < wild->id);
-    std::list<Waiter>& queue = pick_named ? shard.waiters : wildcard_waiters_;
-    auto& pos = pick_named ? named : wild;
-    if (!pos->tmpl.matches(tuple)) {
-      ++pos;
-      continue;
-    }
-    Waiter waiter = std::move(*pos);
-    pos = queue.erase(pos);
-    sim_->cancel(waiter.timeout_event);
-    const std::uint64_t waited_ns =
-        static_cast<std::uint64_t>((sim_->now() - waiter.enqueued).count_ns());
-    if (waiter.take) {
-      ++stats_.takes;
-      record_match(shard_idx, /*take=*/true, waited_ns);
-      deliver(std::move(waiter.callback), std::move(tuple));
-      return;  // consumed before reaching the store
-    }
-    ++stats_.reads;
-    record_match(shard_idx, /*take=*/false, waited_ns);
-    deliver(std::move(waiter.callback), tuple);  // copy to each reader
-  }
+  // Blocked reads each get a copy; the first matching blocked take
+  // consumes the tuple before it reaches the store.
+  const bool consumed = serve_waiters(
+      shard.waiters, wildcard_waiters_, /*with_wild=*/true, tuple,
+      [&](Waiter& waiter, bool) {
+        sim_->cancel(waiter.timeout_event);
+        const std::uint64_t waited_ns = static_cast<std::uint64_t>(
+            (sim_->now() - waiter.enqueued).count_ns());
+        ++(waiter.take ? stats_.takes : stats_.reads);
+        record_match(shard_idx, waiter.take, waited_ns);
+        if (waiter.take) {
+          deliver(std::move(waiter.callback), std::move(tuple));
+        } else {
+          deliver(std::move(waiter.callback), tuple);
+        }
+      });
+  if (consumed) return;
 
-  Entry entry;
-  entry.id = id;
-  entry.expires_at = expires_at;
-  entry.type_key = key;
-  entry.byte_size = tuple.byte_size();
-  if (expires_at != sim::Time::max()) {
-    entry.expiry_timer = arm_lease_timer(expires_at, id);
-  }
-  if (config_.use_type_index) {
-    shard.index[key].insert(id);
-  }
-  shard.stored_bytes += entry.byte_size;
-  entry.tuple = std::move(tuple);
-  // Ids are monotonic, so every store lands past the shard's current
-  // maximum: the end() hint makes the map insert amortized O(1).
-  shard.entries.emplace_hint(shard.entries.end(), id, std::move(entry));
+  const sim::TimerWheel::TimerId timer =
+      expires_at == sim::Time::max() ? 0 : arm_lease_timer(expires_at, id);
+  shard.store.insert(id, key, std::move(tuple), expires_at, timer);
   ++entry_count_;
   stats_.peak_size = std::max(stats_.peak_size, entry_count_);
 }
@@ -200,10 +145,8 @@ Lease SpaceEngine::write(Tuple tuple, sim::Time lease_duration,
                          : sim_->now() + lease_duration;
 
   if (txn != kNoTxn) {
-    Txn* transaction = find_txn(txn);
-    TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
-    transaction->writes.push_back(
-        PendingWrite{lease.id, std::move(tuple), lease.expires_at});
+    require_txn(txn).writes.push_back(
+        TxnEntry{lease.id, std::move(tuple), lease.expires_at});
     return lease;
   }
 
@@ -213,131 +156,46 @@ Lease SpaceEngine::write(Tuple tuple, sim::Time lease_duration,
   return lease;
 }
 
-SpaceEngine::Found SpaceEngine::find_match(const Template& tmpl) {
-  const sim::Time now = sim_->now();
-  if (tmpl.name.has_value()) {
-    // Every tuple of this (name, arity) shape lives on one shard.
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    const int shard_idx = shard_of(want);
-    Shard& shard = shards_[shard_idx];
-    if (config_.use_type_index) {
-      const auto bucket = shard.index.find(want);
-      if (bucket == shard.index.end()) return {};
-      for (std::uint64_t id : bucket->second) {
-        auto it = shard.entries.find(id);
-        TB_ASSERT(it != shard.entries.end());
-        ++stats_.scan_steps;
-        if (it->second.expires_at <= now) continue;  // expiry event queued
-        if (tmpl.matches(it->second.tuple)) return {shard_idx, it, true};
-      }
-      return {};
-    }
-    // Linear scan of the shard: still short-circuits on the cached
-    // (name, arity) key before the field-by-field match.
-    for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;
-      if (it->second.type_key != want) continue;
-      if (tmpl.matches(it->second.tuple)) return {shard_idx, it, true};
-    }
-    return {};
-  }
-  // Wildcard fan-out: ids are monotonic write timestamps, so an id-ordered
-  // merge across the shards' entry maps preserves the paper's oldest-first
-  // total order exactly as the monolithic scan did.
-  std::vector<std::map<std::uint64_t, Entry>::iterator> cursor(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    cursor[s] = shards_[s].entries.begin();
-  }
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) return {};
-    auto it = cursor[best]++;
-    ++stats_.scan_steps;
-    if (it->second.expires_at <= now) continue;
-    if (tmpl.matches(it->second.tuple)) return {best, it, true};
-  }
-}
-
-void SpaceEngine::erase_entry(int shard_idx,
-                              std::map<std::uint64_t, Entry>::iterator it) {
-  Shard& shard = shards_[shard_idx];
-  wheel_.cancel(it->second.expiry_timer);
-  if (config_.use_type_index) {
-    // The cached key keeps this valid even after a take moved the tuple out.
-    const auto bucket = shard.index.find(it->second.type_key);
-    TB_ASSERT(bucket != shard.index.end());
-    bucket->second.erase(it->first);
-    // Emptied buckets are retained: a hot (write, take, write, ...) shape
-    // would otherwise churn two map nodes per cycle, and an empty bucket is
-    // indistinguishable from an absent one to every lookup (same scan_steps,
-    // same results) — the set of live type keys is small and stable.
-  }
-  shard.stored_bytes -= it->second.byte_size;
-  shard.entries.erase(it);
+void SpaceEngine::erase_entry(EntryRef ref) {
+  wheel_.cancel(shards_[ref.shard].store.erase(ref.it));
   --entry_count_;
 }
 
 std::optional<Tuple> SpaceEngine::read_if_exists(const Template& tmpl,
                                                  std::uint64_t txn) {
-  Found found = find_match(tmpl);
-  if (found.ok) {
-    ++stats_.reads;
-    return found.it->second.tuple;
-  }
-  if (txn != kNoTxn) {
-    Txn* transaction = find_txn(txn);
-    TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
-    // A transaction sees its own provisional writes.
-    for (const PendingWrite& pending : transaction->writes) {
-      if (pending.expires_at > sim_->now() && tmpl.matches(pending.tuple)) {
-        ++stats_.reads;
-        return pending.tuple;
-      }
-    }
-  }
-  ++stats_.misses;
-  return std::nullopt;
+  return match_if_exists(tmpl, txn, /*take=*/false);
 }
 
 std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
                                                  std::uint64_t txn) {
-  Found found = find_match(tmpl);
-  if (found.ok) {
+  return match_if_exists(tmpl, txn, /*take=*/true);
+}
+
+std::optional<Tuple> SpaceEngine::match_if_exists(const Template& tmpl,
+                                                  std::uint64_t txn,
+                                                  bool take) {
+  const EntryRef found = find_match(tmpl);
+  if (found && !take) {
+    ++stats_.reads;
+    return found.it->second.tuple;
+  }
+  if (found) {
     ++stats_.takes;
-    if (txn != kNoTxn) {
-      Txn* transaction = find_txn(txn);
-      TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
-      // Hold a copy of the committed entry: invisible to everyone until the
-      // transaction resolves; abort restores it with its remaining lease.
-      transaction->held.push_back(HeldEntry{found.it->first,
-                                            found.it->second.tuple,
-                                            found.it->second.expires_at});
-    }
-    // The stored tuple's buffers move out to the caller; erase_entry works
-    // from the cached type_key and never looks at the (now empty) tuple.
+    // Under a transaction the taken entry is held (invisible to everyone)
+    // until it resolves; abort restores it with its remaining lease.
+    if (txn != kNoTxn) require_txn(txn).hold(found.it);
+    // The stored tuple's buffers move out to the caller; the store erases
+    // by the cached type_key and never looks at the (now empty) tuple.
     Tuple result = std::move(found.it->second.tuple);
-    erase_entry(found.shard, found.it);
+    erase_entry(found);
     return result;
   }
   if (txn != kNoTxn) {
-    Txn* transaction = find_txn(txn);
-    TB_REQUIRE_MSG(transaction != nullptr, "unknown transaction");
-    // Taking one's own provisional write simply unwrites it.
-    for (auto pending = transaction->writes.begin();
-         pending != transaction->writes.end(); ++pending) {
-      if (pending->expires_at > sim_->now() && tmpl.matches(pending->tuple)) {
-        ++stats_.takes;
-        Tuple result = std::move(pending->tuple);
-        transaction->writes.erase(pending);
-        return result;
-      }
+    // A transaction sees (and a take un-writes) its own provisional writes.
+    auto own = require_txn(txn).match_own(tmpl, sim_->now(), take);
+    if (own.has_value()) {
+      ++(take ? stats_.takes : stats_.reads);
+      return own;
     }
   }
   ++stats_.misses;
@@ -346,142 +204,39 @@ std::optional<Tuple> SpaceEngine::take_if_exists(const Template& tmpl,
 
 std::vector<Tuple> SpaceEngine::read_all(const Template& tmpl,
                                          std::size_t max) {
-  std::vector<Tuple> out;
-  const sim::Time now = sim_->now();
-  if (config_.use_type_index && tmpl.name.has_value()) {
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    Shard& shard = shards_[shard_of(want)];
-    const auto bucket = shard.index.find(want);
-    if (bucket == shard.index.end()) return out;
-    for (std::uint64_t id : bucket->second) {
-      if (out.size() >= max) break;
-      auto it = shard.entries.find(id);
-      TB_ASSERT(it != shard.entries.end());
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;
-      if (tmpl.matches(it->second.tuple)) {
-        ++stats_.reads;
-        out.push_back(it->second.tuple);
-      }
-    }
-    return out;
-  }
-  if (tmpl.name.has_value()) {
-    // Index off, but the shape still routes to exactly one shard.
-    Shard& shard = shards_[shard_of(type_key(*tmpl.name, tmpl.arity()))];
-    for (const auto& [id, entry] : shard.entries) {
-      if (out.size() >= max) break;
-      ++stats_.scan_steps;
-      if (entry.expires_at <= now) continue;
-      if (tmpl.matches(entry.tuple)) {
-        ++stats_.reads;
-        out.push_back(entry.tuple);
-      }
-    }
-    return out;
-  }
-  // Wildcard: id-ordered merge across shards keeps oldest-first.
-  std::vector<std::map<std::uint64_t, Entry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (const Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const Entry& entry = (cursor[best]++)->second;
-    ++stats_.scan_steps;
-    if (entry.expires_at <= now) continue;
-    if (tmpl.matches(entry.tuple)) {
-      ++stats_.reads;
-      out.push_back(entry.tuple);
-    }
-  }
-  return out;
+  return match_all(tmpl, max, /*take=*/false);
 }
 
 std::vector<Tuple> SpaceEngine::take_all(const Template& tmpl,
                                          std::size_t max) {
-  // Single pass in id (= write) order, like read_all — not repeated
-  // find_match calls, which rescan the bucket from the start for every
-  // taken tuple (quadratic in the match count). Ids are monotonic, so the
-  // index bucket, the shard entry maps and the cross-shard merge all yield
-  // oldest-first.
+  return match_all(tmpl, max, /*take=*/true);
+}
+
+std::vector<Tuple> SpaceEngine::match_all(const Template& tmpl,
+                                          std::size_t max, bool take) {
+  // One oldest-first pass — not repeated find_match calls, which would
+  // rescan from the start for every taken tuple.
+  const std::vector<EntryRef> hits =
+      find_all(stores_, tmpl, sim_->now(), max, stats_.scan_steps);
   std::vector<Tuple> out;
-  const sim::Time now = sim_->now();
-  if (config_.use_type_index && tmpl.name.has_value()) {
-    const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-    const int shard_idx = shard_of(want);
-    Shard& shard = shards_[shard_idx];
-    const auto bucket = shard.index.find(want);
-    if (bucket == shard.index.end()) return out;
-    // erase_entry edits (and may erase) the bucket, so walk a snapshot of
-    // the candidate ids.
-    const std::vector<std::uint64_t> candidates(bucket->second.begin(),
-                                                bucket->second.end());
-    for (std::uint64_t id : candidates) {
-      if (out.size() >= max) break;
-      auto it = shard.entries.find(id);
-      TB_ASSERT(it != shard.entries.end());
-      ++stats_.scan_steps;
-      if (it->second.expires_at <= now) continue;  // expiry event queued
-      if (tmpl.matches(it->second.tuple)) {
-        ++stats_.takes;
-        out.push_back(std::move(it->second.tuple));
-        erase_entry(shard_idx, it);
-      }
-    }
-    return out;
-  }
-  if (tmpl.name.has_value()) {
-    const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-    Shard& shard = shards_[shard_idx];
-    for (auto it = shard.entries.begin();
-         it != shard.entries.end() && out.size() < max;) {
-      const auto cur = it++;  // erase_entry invalidates only cur
-      ++stats_.scan_steps;
-      if (cur->second.expires_at <= now) continue;
-      if (tmpl.matches(cur->second.tuple)) {
-        ++stats_.takes;
-        out.push_back(std::move(cur->second.tuple));
-        erase_entry(shard_idx, cur);
-      }
-    }
-    return out;
-  }
-  // Wildcard: merge across shards; advance each cursor before a possible
-  // erase so only the already-consumed position is invalidated.
-  std::vector<std::map<std::uint64_t, Entry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (Shard& shard : shards_) cursor.push_back(shard.entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s].entries.end()) continue;
-      if (best < 0 || cursor[s]->first < cursor[best]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto cur = cursor[best]++;
-    ++stats_.scan_steps;
-    if (cur->second.expires_at <= now) continue;
-    if (tmpl.matches(cur->second.tuple)) {
+  out.reserve(hits.size());
+  for (const EntryRef& hit : hits) {
+    if (take) {
       ++stats_.takes;
-      out.push_back(std::move(cur->second.tuple));
-      erase_entry(best, cur);
+      out.push_back(std::move(hit.it->second.tuple));
+      erase_entry(hit);
+    } else {
+      ++stats_.reads;
+      out.push_back(hit.it->second.tuple);
     }
   }
   return out;
 }
 
-SpaceEngine::Txn* SpaceEngine::find_txn(std::uint64_t txn) {
+SpaceEngine::Txn& SpaceEngine::require_txn(std::uint64_t txn) {
   auto it = transactions_.find(txn);
-  return it == transactions_.end() ? nullptr : &it->second;
+  TB_REQUIRE_MSG(it != transactions_.end(), "unknown transaction");
+  return it->second;
 }
 
 std::uint64_t SpaceEngine::begin_transaction(sim::Time timeout) {
@@ -510,7 +265,7 @@ void SpaceEngine::resolve_txn(std::map<std::uint64_t, Txn>::iterator it,
 
   if (commit_it) {
     ++stats_.commits;
-    for (PendingWrite& pending : transaction.writes) {
+    for (TxnEntry& pending : transaction.writes) {
       if (pending.expires_at <= sim_->now()) continue;  // died while pending
       ++stats_.writes;
       fire_notifications(pending.tuple);
@@ -524,9 +279,9 @@ void SpaceEngine::resolve_txn(std::map<std::uint64_t, Txn>::iterator it,
   // Restore held entries (original id and remaining lease) without firing
   // notifications: their writes were already announced. Blocked operations
   // do get served — the entry is available again.
-  for (HeldEntry& held : transaction.held) {
+  for (TxnEntry& held : transaction.held) {
     if (held.expires_at <= sim_->now()) continue;
-    publish(held.original_id, std::move(held.tuple), held.expires_at);
+    publish(held.id, std::move(held.tuple), held.expires_at);
   }
 }
 
@@ -547,17 +302,16 @@ bool SpaceEngine::abort(std::uint64_t txn) {
 void SpaceEngine::blocking_match(Template tmpl, sim::Time timeout,
                                  MatchCallback callback, bool take) {
   TB_REQUIRE(callback != nullptr);
-  Found found = find_match(tmpl);
-  if (found.ok) {
+  const EntryRef found = find_match(tmpl);
+  if (found) {
+    record_match(found.shard, take, 0);
     if (take) {
       ++stats_.takes;
-      record_match(found.shard, /*take=*/true, 0);
       Tuple result = std::move(found.it->second.tuple);
-      erase_entry(found.shard, found.it);
+      erase_entry(found);
       deliver(std::move(callback), std::move(result));
     } else {
       ++stats_.reads;
-      record_match(found.shard, /*take=*/false, 0);
       deliver(std::move(callback), found.it->second.tuple);
     }
     return;
@@ -634,33 +388,25 @@ bool SpaceEngine::cancel_notify(std::uint64_t registration) {
 std::optional<Lease> SpaceEngine::renew(std::uint64_t tuple_id,
                                         sim::Time extension) {
   TB_REQUIRE(extension > sim::Time::zero());
-  // Ids don't encode their shard; probe the (few) shard maps.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(tuple_id);
-    if (it == shards_[s].entries.end()) continue;
-    wheel_.cancel(it->second.expiry_timer);
-    it->second.expires_at = extension == kLeaseForever
-                                ? sim::Time::max()
-                                : sim_->now() + extension;
-    it->second.expiry_timer =
-        it->second.expires_at == sim::Time::max()
-            ? 0
-            : arm_lease_timer(it->second.expires_at, tuple_id);
-    ++stats_.renewals;
-    return Lease{tuple_id, it->second.expires_at};
-  }
-  return std::nullopt;
+  const EntryRef found = find_by_id(stores_, tuple_id);
+  if (!found) return std::nullopt;
+  ShardStore::Entry& entry = found.it->second;
+  wheel_.cancel(entry.expiry_timer);
+  entry.expires_at = extension == kLeaseForever ? sim::Time::max()
+                                                : sim_->now() + extension;
+  entry.expiry_timer = entry.expires_at == sim::Time::max()
+                           ? 0
+                           : arm_lease_timer(entry.expires_at, tuple_id);
+  ++stats_.renewals;
+  return Lease{tuple_id, entry.expires_at};
 }
 
 bool SpaceEngine::cancel(std::uint64_t tuple_id) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(tuple_id);
-    if (it == shards_[s].entries.end()) continue;
-    erase_entry(static_cast<int>(s), it);
-    ++stats_.cancellations;
-    return true;
-  }
-  return false;
+  const EntryRef found = find_by_id(stores_, tuple_id);
+  if (!found) return false;
+  erase_entry(found);
+  ++stats_.cancellations;
+  return true;
 }
 
 sim::TimerWheel::TimerId SpaceEngine::arm_lease_timer(sim::Time expires_at,
@@ -706,16 +452,12 @@ void SpaceEngine::expire_payload(std::uint64_t payload) {
     notifies_.erase(payload & ~kNotifyTimer);
     return;
   }
-  // Entry expiry: ids don't encode their shard; probe like cancel(). The
-  // entry is guaranteed live — takes, cancels and renewals all cancel the
-  // wheel timer before this can fire.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s].entries.find(payload);
-    if (it == shards_[s].entries.end()) continue;
-    ++stats_.expirations;
-    erase_entry(static_cast<int>(s), it);
-    return;
-  }
+  // Entry expiry. The entry is guaranteed live — takes, cancels and
+  // renewals all cancel the wheel timer before this can fire.
+  const EntryRef found = find_by_id(stores_, payload);
+  if (!found) return;
+  ++stats_.expirations;
+  erase_entry(found);
 }
 
 void SpaceEngine::bind_metrics(obs::Registry& registry,
@@ -777,8 +519,9 @@ void SpaceEngine::bind_metrics(obs::Registry& registry,
     blocked.set(static_cast<double>(blocked_operations()));
     wildcard_blocked.set(static_cast<double>(wildcard_waiters_.size()));
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      per_shard[s].size->set(static_cast<double>(shards_[s].entries.size()));
-      per_shard[s].stored->set(static_cast<double>(shards_[s].stored_bytes));
+      per_shard[s].size->set(static_cast<double>(shards_[s].store.size()));
+      per_shard[s].stored->set(
+          static_cast<double>(shards_[s].store.stored_bytes()));
       per_shard[s].blocked->set(static_cast<double>(shards_[s].waiters.size()));
     }
   });

@@ -17,15 +17,16 @@
 // failover election deterministic ("Just one of them will succeed").
 //
 // Sharding (DESIGN.md §10): the store is split into `SpaceConfig::
-// shard_count` shards keyed by the cached FNV-1a (name, arity) type_key.
-// A name-constrained template touches exactly one shard; wildcard templates
+// shard_count` ShardStores (shard_store.hpp) keyed by the cached FNV-1a
+// (name, arity) type_key — the same store the threaded runtime drives. A
+// name-constrained template touches exactly one shard; wildcard templates
 // fan out with an id-ordered merge across shards, so the paper's total
 // order survives partitioning. Blocked operations queue per shard (named
 // templates) or in a cross-shard wildcard queue; a published tuple serves
 // the union of its shard's queue and the wildcard queue in registration-id
 // order — oldest registration wins regardless of shard iteration order.
-// shard_count = 1 reproduces the historical monolithic TupleSpace exactly:
-// same event schedule, same stats, same match order.
+// shard_count = 1 is the unsharded store: same event schedule, same stats,
+// same match order.
 //
 // Determinism contract: every result callback (blocked-op completion, timeout
 // and notification) is delivered through a zero-delay simulator event, never
@@ -39,13 +40,12 @@
 #include <list>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
 #include "src/sim/timer_wheel.hpp"
+#include "src/space/shard_store.hpp"
 #include "src/space/tuple.hpp"
 
 namespace tb::obs {
@@ -85,10 +85,10 @@ struct SpaceConfig {
   /// back to a full linear scan — the bench_space_ops ablation.
   bool use_type_index = true;
 
-  /// Number of store shards (type_key-partitioned). 1 = the historical
-  /// monolithic store, bit-exact with the pre-sharding TupleSpace; values
-  /// < 1 are clamped to 1. Sharding keeps the per-shard entry maps small,
-  /// which is what dominates write/take cost on a populated space.
+  /// Number of store shards (type_key-partitioned). 1 = one unsharded
+  /// store; values < 1 are clamped to 1. Sharding keeps the per-shard
+  /// entry maps small, which is what dominates write/take cost on a
+  /// populated space.
   int shard_count = 1;
 
   /// Which runtime executes operations. SpaceEngine accepts only
@@ -230,15 +230,13 @@ class SpaceEngine {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Which shard a (name, arity) shape routes to.
   int shard_of(std::uint64_t key) const {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<int>(key % shards_.size());
+    return shard_index(key, shards_.size());
   }
   std::size_t shard_size(int shard) const {
-    return shards_.at(shard).entries.size();
+    return shards_.at(shard).store.size();
   }
   std::size_t shard_stored_bytes(int shard) const {
-    return shards_.at(shard).stored_bytes;
+    return shards_.at(shard).store.stored_bytes();
   }
   /// Blocked operations parked on this shard's queue (excludes the
   /// cross-shard wildcard queue — see wildcard_blocked()).
@@ -277,19 +275,6 @@ class SpaceEngine {
   void bind_metrics(obs::Registry& registry, const std::string& prefix = "space");
 
  private:
-  struct Entry {
-    std::uint64_t id = 0;  ///< doubles as the write timestamp (total order)
-    Tuple tuple;
-    sim::Time expires_at;
-    sim::TimerWheel::TimerId expiry_timer = 0;  ///< wheel slot, not an event
-    /// (name, arity) hash, computed once at publish: matching short-circuits
-    /// on it, index maintenance never re-hashes the name, and it doubles as
-    /// the shard route — which also lets takes move the tuple out before
-    /// the entry is erased.
-    std::uint64_t type_key = 0;
-    std::size_t byte_size = 0;  ///< cached wire-footprint estimate
-  };
-
   /// -1 routes to the cross-shard wildcard waiter queue.
   static constexpr int kWildcardShard = -1;
 
@@ -309,42 +294,18 @@ class SpaceEngine {
     sim::TimerWheel::TimerId expiry_timer = 0;
   };
 
-  /// A provisional write awaiting commit.
-  struct PendingWrite {
+  struct Txn : TxnView {
     std::uint64_t id = 0;
-    Tuple tuple;
-    sim::Time expires_at;  ///< clock runs from the provisional write
-  };
-
-  /// A committed entry held by a take-under-transaction.
-  struct HeldEntry {
-    std::uint64_t original_id = 0;
-    Tuple tuple;
-    sim::Time expires_at;
-  };
-
-  struct Txn {
-    std::uint64_t id = 0;
-    std::vector<PendingWrite> writes;
-    std::vector<HeldEntry> held;
     sim::EventHandle timeout_event;
   };
 
   struct Shard {
-    std::map<std::uint64_t, Entry> entries;  ///< id-ordered = timestamp-ordered
-    /// (name, arity) -> ordered ids, maintained when use_type_index.
-    std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index;
+    explicit Shard(const SpaceConfig& config) : store(config) {}
+
+    ShardStore store;
     std::list<Waiter> waiters;  ///< FIFO (= id) order, name-keyed templates
-    std::size_t stored_bytes = 0;  ///< sum of entries' cached byte_size
     obs::Histogram* match_read_ns = nullptr;  ///< set by bind_metrics
     obs::Histogram* match_take_ns = nullptr;
-  };
-
-  /// A match location: shard index + entry iterator.
-  struct Found {
-    int shard = 0;
-    std::map<std::uint64_t, Entry>::iterator it;
-    bool ok = false;
   };
 
   /// Fires matching notify registrations for a (now public) write.
@@ -355,16 +316,20 @@ class SpaceEngine {
   /// publication and abort restoration.
   void publish(std::uint64_t id, Tuple tuple, sim::Time expires_at);
 
-  Txn* find_txn(std::uint64_t txn);
+  /// The open transaction `txn`; a precondition failure when unknown.
+  Txn& require_txn(std::uint64_t txn);
   void resolve_txn(std::map<std::uint64_t, Txn>::iterator it, bool commit_it);
 
   /// Oldest live entry matching `tmpl` across the relevant shard(s).
-  Found find_match(const Template& tmpl);
-
-  /// Serves one waiter from `pos` in `queue`: cancels its timeout, records
-  /// latency and delivers. Returns true when the waiter was a take (tuple
-  /// consumed).
-  void erase_entry(int shard, std::map<std::uint64_t, Entry>::iterator it);
+  EntryRef find_match(const Template& tmpl) {
+    return find_oldest(stores_, tmpl, sim_->now(), stats_.scan_steps);
+  }
+  /// read_if_exists / take_if_exists.
+  std::optional<Tuple> match_if_exists(const Template& tmpl,
+                                       std::uint64_t txn, bool take);
+  std::vector<Tuple> match_all(const Template& tmpl, std::size_t max,
+                               bool take);
+  void erase_entry(EntryRef ref);
   void blocking_match(Template tmpl, sim::Time timeout, MatchCallback callback,
                       bool take);
   void deliver(MatchCallback callback, std::optional<Tuple> result);
@@ -397,6 +362,7 @@ class SpaceEngine {
   std::size_t entry_count_ = 0;  ///< sum of shard entry maps, kept O(1)
 
   std::vector<Shard> shards_;
+  std::vector<ShardStore*> stores_;     ///< &shards_[s].store, by shard
   std::list<Waiter> wildcard_waiters_;  ///< unnamed templates: watch all shards
   sim::TimerWheel wheel_;               ///< every finite lease, O(1) arm/cancel
   sim::EventHandle wheel_event_;        ///< single kernel event servicing it

@@ -44,7 +44,7 @@ struct ThreadedSpaceEngine::Request {
   Tuple tuple;
   Template tmpl;
   std::uint64_t txn = kNoTxn;
-  TxnState* txn_state = nullptr;
+  TxnView* txn_state = nullptr;
   std::size_t max = 0;
   std::uint64_t target = 0;  ///< kCancelWaiter: waiter ticket to remove
   sim::Time lease = kLeaseForever;  ///< kWrite: requested lease duration
@@ -54,7 +54,7 @@ struct ThreadedSpaceEngine::Request {
   std::condition_variable cv;
   util::SlabPool<Request>::Handle pool_handle = 0;
   std::uint64_t ticket = 0;
-  std::int64_t deadline_ns = -1;  ///< kWrite result: steady-ns expiry
+  sim::Time expires_at = sim::Time::max();  ///< kWrite result: steady ns
   std::optional<Tuple> result;
   std::vector<Tuple> results;
 
@@ -70,7 +70,7 @@ struct ThreadedSpaceEngine::Request {
     lease = kLeaseForever;
     phase.store(0, std::memory_order_relaxed);
     ticket = 0;
-    deadline_ns = -1;
+    expires_at = sim::Time::max();
     result.reset();
     results.clear();
   }
@@ -149,7 +149,8 @@ ThreadedSpaceEngine::ThreadedSpaceEngine(SpaceConfig config, OpLog* log)
   if (config_.inbox_capacity < 1) config_.inbox_capacity = 1;
   shards_.reserve(static_cast<std::size_t>(config_.shard_count));
   for (int s = 0; s < config_.shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config_.inbox_capacity));
+    shards_.push_back(std::make_unique<Shard>(config_));
+    stores_.push_back(&shards_.back()->store);
   }
   for (int s = 0; s < config_.shard_count; ++s) {
     shards_[static_cast<std::size_t>(s)]->worker =
@@ -399,8 +400,8 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
                      due.push_back(payload);
                    });
   for (const std::uint64_t id : due) {
-    auto it = sh.entries.find(id);
-    if (it == sh.entries.end()) continue;  // defensive: cancels are exact
+    const auto it = sh.store.find_id(id);
+    if (it == sh.store.end()) continue;  // defensive: cancels are exact
     // The reclamation *is* the expiry's linearization point: visibility in
     // threaded mode is presence, and the replay pre-pass arms the oracle
     // with exactly this ticket-space duration (oplog.hpp).
@@ -413,7 +414,7 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
       log_->append(rec);
     }
     ++sh.stats.expirations;
-    erase_entry(shard_idx, it);
+    erase_entry({shard_idx, it});
   }
 }
 
@@ -470,9 +471,10 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
   // The deadline counts from the linearization point (the apply), not from
   // the client's enqueue — transit through a backlogged inbox eats into
   // nothing; the lease starts when the write becomes visible.
-  const std::int64_t deadline_ns =
-      req.lease == kLeaseForever ? -1
-                                 : steady_now_ns() + req.lease.count_ns();
+  const sim::Time expires_at =
+      req.lease == kLeaseForever
+          ? sim::Time::max()
+          : sim::Time::ns(steady_now_ns()) + req.lease;
 
   if (cross_possible()) {
     // Slow path: wildcard waiters or notify registrations may exist, so the
@@ -489,7 +491,7 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
       log_->append(rec);
     }
     serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/true,
-                    deadline_ns);
+                    expires_at);
   } else {
     // Fast path: no cross-shard state can appear mid-apply (registrations
     // run under the all-shard acquisition), so this write commutes with
@@ -503,7 +505,7 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
       log_->append(rec);
     }
     serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/false,
-                    deadline_ns);
+                    expires_at);
   }
   ++shards_[static_cast<std::size_t>(shard_idx)]->stats.writes;
 
@@ -511,82 +513,46 @@ void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
     release_request(&req);
   } else {
     req.ticket = id;
-    req.deadline_ns = deadline_ns;
+    req.expires_at = expires_at;
     signal_phase(req, Request::kDone);
   }
 }
 
-bool ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
+void ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
                                           Tuple tuple, bool cross_locked,
-                                          std::int64_t deadline_ns) {
+                                          sim::Time expires_at) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  // Registration-order merge of the shard queue and (when visible) the
-  // wildcard queue: both are ticket-ordered appends, so a two-pointer walk
-  // visits the union oldest registration first — same rule as the
-  // deterministic publish().
-  auto named = sh.waiters.begin();
-  auto wild =
-      cross_locked ? wildcard_waiters_.begin() : wildcard_waiters_.end();
-  const auto wild_end = wildcard_waiters_.end();
-  while (named != sh.waiters.end() || wild != wild_end) {
-    const bool pick_named =
-        wild == wild_end || (named != sh.waiters.end() && named->id < wild->id);
-    std::list<TWaiter>& queue = pick_named ? sh.waiters : wildcard_waiters_;
-    auto& pos = pick_named ? named : wild;
-    if (!pos->tmpl.matches(tuple)) {
-      ++pos;
-      continue;
-    }
-    TWaiter waiter = std::move(*pos);
-    pos = queue.erase(pos);
-    if (!pick_named) {
-      cross_count_.fetch_sub(1);
-      cross_serves_.fetch_add(1, std::memory_order_relaxed);
-    }
-    blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-    Stats& stats = pick_named ? sh.stats : cross_stats_;
-    if (waiter.take) {
-      ++stats.takes;
-      complete_waiter(waiter, std::move(tuple));
-      return true;  // consumed before reaching the store
-    }
-    ++stats.reads;
-    complete_waiter(waiter, tuple);  // copy to each blocked reader
-  }
-  store_entry(shard_idx, id, std::move(tuple), deadline_ns);
-  return false;
-}
-
-void ThreadedSpaceEngine::store_entry(int shard_idx, std::uint64_t id,
-                                      Tuple tuple, std::int64_t deadline_ns) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  TEntry entry;
-  entry.id = id;
-  entry.type_key = type_key(tuple.name, tuple.arity());
-  entry.byte_size = tuple.byte_size();
-  entry.tuple = std::move(tuple);
-  if (deadline_ns >= 0) entry.expiry_timer = sh.wheel.arm(deadline_ns, id);
-  if (config_.use_type_index) {
-    sh.index[entry.type_key].insert(id);
-  }
-  sh.stored_bytes += entry.byte_size;
-  // No end() hint: commit publication inserts held-back (old) ids.
-  sh.entries.emplace(id, std::move(entry));
+  // Same registration-order rule as the deterministic publish(); the
+  // wildcard queue is only visible under cross_mu_.
+  const bool consumed = serve_waiters(
+      sh.waiters, wildcard_waiters_, cross_locked, tuple,
+      [&](Waiter& waiter, bool named) {
+        if (!named) {
+          cross_count_.fetch_sub(1);
+          cross_serves_.fetch_add(1, std::memory_order_relaxed);
+        }
+        blocked_count_.fetch_sub(1, std::memory_order_relaxed);
+        Stats& stats = named ? sh.stats : cross_stats_;
+        ++(waiter.take ? stats.takes : stats.reads);
+        if (waiter.take) {
+          complete_waiter(waiter, std::move(tuple));
+        } else {
+          complete_waiter(waiter, tuple);  // copy to each blocked reader
+        }
+      });
+  if (consumed) return;
+  const sim::TimerWheel::TimerId timer =
+      expires_at == sim::Time::max() ? 0
+                                     : sh.wheel.arm(expires_at.count_ns(), id);
+  const std::uint64_t key = type_key(tuple.name, tuple.arity());
+  sh.store.insert(id, key, std::move(tuple), expires_at, timer);
   entry_count_.fetch_add(1, std::memory_order_relaxed);
   note_peak_size();
 }
 
-void ThreadedSpaceEngine::erase_entry(
-    int shard_idx, std::map<std::uint64_t, TEntry>::iterator it) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  sh.wheel.cancel(it->second.expiry_timer);  // stale-safe after an expiry
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(it->second.type_key);
-    TB_ASSERT(bucket != sh.index.end());
-    bucket->second.erase(it->first);
-  }
-  sh.stored_bytes -= it->second.byte_size;
-  sh.entries.erase(it);
+void ThreadedSpaceEngine::erase_entry(EntryRef ref) {
+  Shard& sh = *shards_[static_cast<std::size_t>(ref.shard)];
+  sh.wheel.cancel(sh.store.erase(ref.it));  // stale-safe after an expiry
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -604,7 +570,7 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
     // Transaction-private: invisible to every other client until commit, so
     // the ticket may race freely — the op commutes with everything outside
     // its (single-owner) transaction.
-    TxnState* state = find_txn(txn);
+    TxnView* state = find_txn(txn);
     const std::uint64_t ticket = next_ticket();
     if (log_ != nullptr) {
       OpRecord rec;
@@ -614,7 +580,7 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
       rec.tuple = tuple;
       log_->append(rec);
     }
-    state->writes.emplace_back(ticket, std::move(tuple));
+    state->writes.push_back(TxnEntry{ticket, std::move(tuple)});
     return Lease{ticket, sim::Time::max()};
   }
   Request* req = acquire_request();
@@ -624,9 +590,7 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
   const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
   push_request(shard_idx, req, /*allow_combine=*/true);
   wait_phase(shard_idx, *req, Request::kDone);
-  const Lease out{req->ticket, req->deadline_ns < 0
-                                   ? sim::Time::max()
-                                   : sim::Time::ns(req->deadline_ns)};
+  const Lease out{req->ticket, req->expires_at};
   release_request(req);
   return out;
 }
@@ -642,68 +606,65 @@ void ThreadedSpaceEngine::write_async(Tuple tuple) {
 
 // --- matching ---------------------------------------------------------------
 
-std::map<std::uint64_t, ThreadedSpaceEngine::TEntry>::iterator
-ThreadedSpaceEngine::find_in_shard(int shard_idx, const Template& tmpl) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const std::uint64_t want = type_key(*tmpl.name, tmpl.arity());
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(want);
-    if (bucket == sh.index.end()) return sh.entries.end();
-    for (std::uint64_t id : bucket->second) {
-      auto it = sh.entries.find(id);
-      TB_ASSERT(it != sh.entries.end());
-      ++sh.stats.scan_steps;
-      if (tmpl.matches(it->second.tuple)) return it;
+std::optional<Tuple> ThreadedSpaceEngine::match_if_exists(EntryRef found,
+                                                          const Template& tmpl,
+                                                          TxnView* txn,
+                                                          bool take,
+                                                          Stats& stats) {
+  std::optional<Tuple> result;
+  if (found && take) {
+    if (txn != nullptr) txn->hold(found.it);
+    result = std::move(found.it->second.tuple);
+    erase_entry(found);
+  } else if (found) {
+    result = found.it->second.tuple;
+  } else if (txn != nullptr) {
+    result = txn->match_own(tmpl, kAllVisible, take);
+  }
+  if (!result.has_value()) {
+    ++stats.misses;
+  } else {
+    ++(take ? stats.takes : stats.reads);
+  }
+  return result;
+}
+
+std::vector<Tuple> ThreadedSpaceEngine::match_all(const Template& tmpl,
+                                                  std::size_t max, bool take,
+                                                  std::uint64_t ticket,
+                                                  Stats& stats) {
+  const std::vector<EntryRef> hits =
+      find_all(stores_, tmpl, kAllVisible, max, stats.scan_steps);
+  std::vector<Tuple> out;
+  out.reserve(hits.size());
+  for (const EntryRef& hit : hits) {
+    if (take) {
+      ++stats.takes;
+      out.push_back(std::move(hit.it->second.tuple));
+      erase_entry(hit);
+    } else {
+      ++stats.reads;
+      out.push_back(hit.it->second.tuple);
     }
-    return sh.entries.end();
   }
-  for (auto it = sh.entries.begin(); it != sh.entries.end(); ++it) {
-    ++sh.stats.scan_steps;
-    if (it->second.type_key != want) continue;
-    if (tmpl.matches(it->second.tuple)) return it;
+  if (log_ != nullptr) {
+    OpRecord rec;
+    rec.ticket = ticket;
+    rec.kind = take ? Kind::kTakeAll : Kind::kReadAll;
+    rec.tmpl = tmpl;
+    rec.max = max;
+    rec.results = out;
+    log_->append(rec);
   }
-  return sh.entries.end();
+  return out;
 }
 
 void ThreadedSpaceEngine::apply_match(int shard_idx, Request& req, bool take) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  auto it = find_in_shard(shard_idx, req.tmpl);
+  const EntryRef found = find_match(req.tmpl, sh.stats);
   const std::uint64_t ticket = next_ticket();
-  std::optional<Tuple> result;
-  if (it != sh.entries.end()) {
-    if (take) {
-      ++sh.stats.takes;
-      if (req.txn_state != nullptr) {
-        TEntry held;
-        held.id = it->first;
-        held.tuple = it->second.tuple;
-        held.type_key = it->second.type_key;
-        held.byte_size = it->second.byte_size;
-        req.txn_state->held.push_back(std::move(held));
-      }
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++sh.stats.reads;
-      result = it->second.tuple;
-    }
-  } else if (req.txn_state != nullptr) {
-    // The transaction sees (and may un-write) its own provisional writes.
-    auto& writes = req.txn_state->writes;
-    for (auto pending = writes.begin(); pending != writes.end(); ++pending) {
-      if (!req.tmpl.matches(pending->second)) continue;
-      if (take) {
-        ++sh.stats.takes;
-        result = std::move(pending->second);
-        writes.erase(pending);
-      } else {
-        ++sh.stats.reads;
-        result = pending->second;
-      }
-      break;
-    }
-  }
-  if (!result.has_value()) ++sh.stats.misses;
+  std::optional<Tuple> result =
+      match_if_exists(found, req.tmpl, req.txn_state, take, sh.stats);
   if (log_ != nullptr) {
     OpRecord rec;
     rec.ticket = ticket;
@@ -721,82 +682,27 @@ void ThreadedSpaceEngine::apply_match(int shard_idx, Request& req, bool take) {
 void ThreadedSpaceEngine::apply_bulk(int shard_idx, Request& req, bool take) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
   const std::uint64_t ticket = next_ticket();
-  const std::uint64_t want = type_key(*req.tmpl.name, req.tmpl.arity());
-  std::vector<Tuple> out;
-  if (config_.use_type_index) {
-    const auto bucket = sh.index.find(want);
-    if (bucket != sh.index.end()) {
-      // erase_entry edits the bucket: walk a snapshot of the candidates.
-      const std::vector<std::uint64_t> candidates(bucket->second.begin(),
-                                                  bucket->second.end());
-      for (std::uint64_t id : candidates) {
-        if (out.size() >= req.max) break;
-        auto it = sh.entries.find(id);
-        TB_ASSERT(it != sh.entries.end());
-        ++sh.stats.scan_steps;
-        if (!req.tmpl.matches(it->second.tuple)) continue;
-        if (take) {
-          ++sh.stats.takes;
-          out.push_back(std::move(it->second.tuple));
-          erase_entry(shard_idx, it);
-        } else {
-          ++sh.stats.reads;
-          out.push_back(it->second.tuple);
-        }
-      }
-    }
-  } else {
-    for (auto it = sh.entries.begin();
-         it != sh.entries.end() && out.size() < req.max;) {
-      const auto cur = it++;
-      ++sh.stats.scan_steps;
-      if (cur->second.type_key != want) continue;
-      if (!req.tmpl.matches(cur->second.tuple)) continue;
-      if (take) {
-        ++sh.stats.takes;
-        out.push_back(std::move(cur->second.tuple));
-        erase_entry(shard_idx, cur);
-      } else {
-        ++sh.stats.reads;
-        out.push_back(cur->second.tuple);
-      }
-    }
-  }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeAll : Kind::kReadAll;
-    rec.tmpl = req.tmpl;
-    rec.max = req.max;
-    rec.results = out;
-    log_->append(rec);
-  }
+  req.results = match_all(req.tmpl, req.max, take, ticket, sh.stats);
   req.ticket = ticket;
-  req.results = std::move(out);
   signal_phase(req, Request::kDone);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::read_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, false);
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kReadIfExists;
-  req->tmpl = tmpl;
-  req->txn = txn;
-  req->txn_state = find_txn(txn);
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->result);
-  release_request(req);
-  return out;
+  return submit_if_exists(tmpl, txn, /*take=*/false);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::take_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, true);
+  return submit_if_exists(tmpl, txn, /*take=*/true);
+}
+
+std::optional<Tuple> ThreadedSpaceEngine::submit_if_exists(
+    const Template& tmpl, std::uint64_t txn, bool take) {
+  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, take);
   Request* req = acquire_request();
-  req->kind = Request::Kind::kTakeIfExists;
+  req->kind =
+      take ? Request::Kind::kTakeIfExists : Request::Kind::kReadIfExists;
   req->tmpl = tmpl;
   req->txn = txn;
   req->txn_state = find_txn(txn);
@@ -810,24 +716,20 @@ std::optional<Tuple> ThreadedSpaceEngine::take_if_exists(const Template& tmpl,
 
 std::vector<Tuple> ThreadedSpaceEngine::read_all(const Template& tmpl,
                                                  std::size_t max) {
-  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, false);
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kReadAll;
-  req->tmpl = tmpl;
-  req->max = max;
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->results);
-  release_request(req);
-  return out;
+  return submit_bulk(tmpl, max, /*take=*/false);
 }
 
 std::vector<Tuple> ThreadedSpaceEngine::take_all(const Template& tmpl,
                                                  std::size_t max) {
-  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, true);
+  return submit_bulk(tmpl, max, /*take=*/true);
+}
+
+std::vector<Tuple> ThreadedSpaceEngine::submit_bulk(const Template& tmpl,
+                                                    std::size_t max,
+                                                    bool take) {
+  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, take);
   Request* req = acquire_request();
-  req->kind = Request::Kind::kTakeAll;
+  req->kind = take ? Request::Kind::kTakeAll : Request::Kind::kReadAll;
   req->tmpl = tmpl;
   req->max = max;
   const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
@@ -840,71 +742,14 @@ std::vector<Tuple> ThreadedSpaceEngine::take_all(const Template& tmpl,
 
 // --- wildcard (all-shard sequence-point) ops --------------------------------
 
-std::pair<int, std::map<std::uint64_t, ThreadedSpaceEngine::TEntry>::iterator>
-ThreadedSpaceEngine::find_across(const Template& tmpl) {
-  // Id-ordered merge across the held shards: tickets are monotonic write
-  // timestamps, so the oldest-first total order survives sharding.
-  std::vector<std::map<std::uint64_t, TEntry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.begin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.end()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) {
-      return {-1, std::map<std::uint64_t, TEntry>::iterator{}};
-    }
-    auto it = cursor[static_cast<std::size_t>(best)]++;
-    ++barrier_stats_.scan_steps;
-    if (tmpl.matches(it->second.tuple)) return {best, it};
-  }
-}
-
 std::optional<Tuple> ThreadedSpaceEngine::wildcard_if_exists(
     const Template& tmpl, std::uint64_t txn, bool take) {
-  TxnState* state = find_txn(txn);
+  TxnView* state = find_txn(txn);
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
-  std::optional<Tuple> result;
-  auto [shard_idx, it] = find_across(tmpl);
-  if (shard_idx >= 0) {
-    if (take) {
-      ++barrier_stats_.takes;
-      if (state != nullptr) {
-        TEntry held;
-        held.id = it->first;
-        held.tuple = it->second.tuple;
-        held.type_key = it->second.type_key;
-        held.byte_size = it->second.byte_size;
-        state->held.push_back(std::move(held));
-      }
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++barrier_stats_.reads;
-      result = it->second.tuple;
-    }
-  } else if (state != nullptr) {
-    auto& writes = state->writes;
-    for (auto pending = writes.begin(); pending != writes.end(); ++pending) {
-      if (!tmpl.matches(pending->second)) continue;
-      if (take) {
-        ++barrier_stats_.takes;
-        result = std::move(pending->second);
-        writes.erase(pending);
-      } else {
-        ++barrier_stats_.reads;
-        result = pending->second;
-      }
-      break;
-    }
-  }
-  if (!result.has_value()) ++barrier_stats_.misses;
+  const EntryRef found = find_match(tmpl, barrier_stats_);
+  std::optional<Tuple> result =
+      match_if_exists(found, tmpl, state, take, barrier_stats_);
   if (log_ != nullptr) {
     OpRecord rec;
     rec.ticket = ticket;
@@ -922,42 +767,8 @@ std::vector<Tuple> ThreadedSpaceEngine::wildcard_bulk(const Template& tmpl,
                                                       std::size_t max,
                                                       bool take) {
   barrier_acquire();
-  const std::uint64_t ticket = next_ticket();
-  std::vector<Tuple> out;
-  std::vector<std::map<std::uint64_t, TEntry>::iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.begin());
-  while (out.size() < max) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.end()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    const auto cur = cursor[static_cast<std::size_t>(best)]++;
-    ++barrier_stats_.scan_steps;
-    if (!tmpl.matches(cur->second.tuple)) continue;
-    if (take) {
-      ++barrier_stats_.takes;
-      out.push_back(std::move(cur->second.tuple));
-      erase_entry(best, cur);
-    } else {
-      ++barrier_stats_.reads;
-      out.push_back(cur->second.tuple);
-    }
-  }
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeAll : Kind::kReadAll;
-    rec.tmpl = tmpl;
-    rec.max = max;
-    rec.results = out;
-    log_->append(rec);
-  }
+  std::vector<Tuple> out =
+      match_all(tmpl, max, take, next_ticket(), barrier_stats_);
   barrier_release();
   return out;
 }
@@ -967,34 +778,18 @@ std::vector<Tuple> ThreadedSpaceEngine::wildcard_bulk(const Template& tmpl,
 void ThreadedSpaceEngine::apply_blocking(int shard_idx, Request& req,
                                          bool take) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  auto it = find_in_shard(shard_idx, req.tmpl);
+  const EntryRef found = find_match(req.tmpl, sh.stats);
   const std::uint64_t ticket = next_ticket();
-  if (it != sh.entries.end()) {
-    std::optional<Tuple> result;
-    if (take) {
-      ++sh.stats.takes;
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++sh.stats.reads;
-      result = it->second.tuple;
-    }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = take ? Kind::kBlockingTake : Kind::kBlockingRead;
-      rec.tmpl = req.tmpl;
-      rec.result = result;
-      log_->append(rec);
-    }
+  if (found) {
+    req.result = match_if_exists(found, req.tmpl, nullptr, take, sh.stats);
+    log_blocked(ticket, take, req.tmpl, req.result);
     req.ticket = ticket;
-    req.result = std::move(result);
     signal_phase(req, Request::kDone);
     return;
   }
   // Park. The record is written by whoever resolves the waiter: a serving
   // publish (complete_waiter) or a cancellation (cancel_waiter_record).
-  TWaiter waiter;
+  Waiter waiter;
   waiter.id = ticket;
   waiter.tmpl = req.tmpl;
   waiter.take = take;
@@ -1010,9 +805,9 @@ void ThreadedSpaceEngine::apply_cancel_waiter(int shard_idx, Request& req) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
   const auto pos =
       std::find_if(sh.waiters.begin(), sh.waiters.end(),
-                   [&](const TWaiter& w) { return w.id == req.target; });
+                   [&](const Waiter& w) { return w.id == req.target; });
   if (pos != sh.waiters.end()) {
-    TWaiter waiter = std::move(*pos);
+    Waiter waiter = std::move(*pos);
     sh.waiters.erase(pos);
     blocked_count_.fetch_sub(1, std::memory_order_relaxed);
     ++sh.stats.misses;
@@ -1026,20 +821,25 @@ void ThreadedSpaceEngine::apply_cancel_waiter(int shard_idx, Request& req) {
   signal_phase(req, Request::kDone);
 }
 
-void ThreadedSpaceEngine::complete_waiter(const TWaiter& waiter, Tuple tuple) {
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = waiter.id;
-    rec.kind = waiter.take ? Kind::kBlockingTake : Kind::kBlockingRead;
-    rec.tmpl = waiter.tmpl;
-    rec.result = tuple;
-    log_->append(rec);
-  }
+void ThreadedSpaceEngine::log_blocked(std::uint64_t ticket, bool take,
+                                      const Template& tmpl,
+                                      const std::optional<Tuple>& result) {
+  if (log_ == nullptr) return;
+  OpRecord rec;
+  rec.ticket = ticket;
+  rec.kind = take ? Kind::kBlockingTake : Kind::kBlockingRead;
+  rec.tmpl = tmpl;
+  rec.result = result;
+  log_->append(rec);
+}
+
+void ThreadedSpaceEngine::complete_waiter(const Waiter& waiter, Tuple tuple) {
+  log_blocked(waiter.id, waiter.take, waiter.tmpl, tuple);
   waiter.req->result = std::move(tuple);
   signal_phase(*waiter.req, Request::kDone);
 }
 
-void ThreadedSpaceEngine::cancel_waiter_record(const TWaiter& waiter,
+void ThreadedSpaceEngine::cancel_waiter_record(const Waiter& waiter,
                                                std::uint64_t cancel_ticket) {
   if (log_ == nullptr) return;
   OpRecord rec;
@@ -1097,32 +897,18 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
   // cross_mu_.
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
-  auto [shard_idx, it] = find_across(tmpl);
-  if (shard_idx >= 0) {
-    std::optional<Tuple> result;
-    if (take) {
-      ++barrier_stats_.takes;
-      result = std::move(it->second.tuple);
-      erase_entry(shard_idx, it);
-    } else {
-      ++barrier_stats_.reads;
-      result = it->second.tuple;
-    }
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = ticket;
-      rec.kind = take ? Kind::kBlockingTake : Kind::kBlockingRead;
-      rec.tmpl = tmpl;
-      rec.result = result;
-      log_->append(rec);
-    }
+  const EntryRef found = find_match(tmpl, barrier_stats_);
+  if (found) {
+    std::optional<Tuple> result =
+        match_if_exists(found, tmpl, nullptr, take, barrier_stats_);
+    log_blocked(ticket, take, tmpl, result);
     barrier_release();
     release_request(req);
     return result;
   }
   {
     std::lock_guard<std::mutex> cl(cross_mu_);
-    TWaiter waiter;
+    Waiter waiter;
     waiter.id = ticket;
     waiter.tmpl = tmpl;
     waiter.take = take;
@@ -1141,12 +927,12 @@ std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
       std::lock_guard<std::mutex> cl(cross_mu_);
       const auto pos = std::find_if(
           wildcard_waiters_.begin(), wildcard_waiters_.end(),
-          [&](const TWaiter& w) { return w.id == ticket; });
+          [&](const Waiter& w) { return w.id == ticket; });
       if (pos != wildcard_waiters_.end()) {
         // Still parked — no publish can be serving it (we hold cross_mu_).
         // Ticket before the count decrement: a publisher that fast-paths on
         // the decremented count is ordered after this cancellation.
-        TWaiter waiter = std::move(*pos);
+        Waiter waiter = std::move(*pos);
         wildcard_waiters_.erase(pos);
         const std::uint64_t cancel_ticket = next_ticket();
         cross_count_.fetch_sub(1);
@@ -1176,8 +962,7 @@ std::optional<Tuple> ThreadedSpaceEngine::take(
 
 // --- transactions -----------------------------------------------------------
 
-ThreadedSpaceEngine::TxnState* ThreadedSpaceEngine::find_txn(
-    std::uint64_t txn) {
+TxnView* ThreadedSpaceEngine::find_txn(std::uint64_t txn) {
   if (txn == kNoTxn) return nullptr;
   std::lock_guard<std::mutex> lk(txn_mu_);
   const auto it = txns_.find(txn);
@@ -1189,7 +974,7 @@ std::uint64_t ThreadedSpaceEngine::begin_transaction() {
   const std::uint64_t ticket = next_ticket();
   {
     std::lock_guard<std::mutex> lk(txn_mu_);
-    txns_.emplace(ticket, std::make_unique<TxnState>());
+    txns_.emplace(ticket, std::make_unique<TxnView>());
   }
   if (log_ != nullptr) {
     OpRecord rec;
@@ -1202,7 +987,7 @@ std::uint64_t ThreadedSpaceEngine::begin_transaction() {
 
 bool ThreadedSpaceEngine::commit(std::uint64_t txn) {
   barrier_acquire();
-  std::unique_ptr<TxnState> state;
+  std::unique_ptr<TxnView> state;
   {
     std::lock_guard<std::mutex> lk(txn_mu_);
     const auto it = txns_.find(txn);
@@ -1221,12 +1006,13 @@ bool ThreadedSpaceEngine::commit(std::uint64_t txn) {
       // Publication order = write order = ascending tickets; each entry
       // keeps its write ticket as id, so it sorts into the total order at
       // the instant the write was issued — exactly the oracle's rule.
-      for (auto& [write_id, tuple] : state->writes) {
+      for (TxnEntry& pending : state->writes) {
         ++barrier_stats_.writes;
-        collect_notifications(tuple, &fire);
-        const int shard_idx = shard_of(type_key(tuple.name, tuple.arity()));
-        serve_and_store(shard_idx, write_id, std::move(tuple),
-                        /*cross_locked=*/true, /*deadline_ns=*/-1);
+        collect_notifications(pending.tuple, &fire);
+        const int shard_idx =
+            shard_of(type_key(pending.tuple.name, pending.tuple.arity()));
+        serve_and_store(shard_idx, pending.id, std::move(pending.tuple),
+                        /*cross_locked=*/true, sim::Time::max());
       }
       // Held takes become permanent: nothing to restore.
     }
@@ -1246,7 +1032,7 @@ bool ThreadedSpaceEngine::commit(std::uint64_t txn) {
 
 bool ThreadedSpaceEngine::abort(std::uint64_t txn) {
   barrier_acquire();
-  std::unique_ptr<TxnState> state;
+  std::unique_ptr<TxnView> state;
   {
     std::lock_guard<std::mutex> lk(txn_mu_);
     const auto it = txns_.find(txn);
@@ -1267,10 +1053,11 @@ bool ThreadedSpaceEngine::abort(std::uint64_t txn) {
       // A held finite-lease entry's timer was cancelled at take time, so
       // the restore is forever — mirrored exactly by the replay pre-pass:
       // no kLeaseExpire record ever terminates that write's arming.
-      for (TEntry& held : state->held) {
-        const int shard_idx = shard_of(held.type_key);
+      for (TxnEntry& held : state->held) {
+        const int shard_idx =
+            shard_of(type_key(held.tuple.name, held.tuple.arity()));
         serve_and_store(shard_idx, held.id, std::move(held.tuple),
-                        /*cross_locked=*/true, /*deadline_ns=*/-1);
+                        /*cross_locked=*/true, sim::Time::max());
       }
     }
     if (log_ != nullptr) {
@@ -1380,20 +1167,20 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
   std::optional<Lease> out;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    auto it = sh.entries.find(tuple_id);
-    if (it == sh.entries.end()) continue;
-    sh.wheel.cancel(it->second.expiry_timer);
-    const std::int64_t deadline_ns =
-        extension == kLeaseForever ? -1
-                                   : steady_now_ns() + extension.count_ns();
-    it->second.expiry_timer =
-        deadline_ns < 0 ? 0 : sh.wheel.arm(deadline_ns, tuple_id);
+  if (const EntryRef found = find_by_id(stores_, tuple_id)) {
+    sim::TimerWheel& wheel =
+        shards_[static_cast<std::size_t>(found.shard)]->wheel;
+    ShardStore::Entry& entry = found.it->second;
+    wheel.cancel(entry.expiry_timer);
+    entry.expires_at = extension == kLeaseForever
+                           ? sim::Time::max()
+                           : sim::Time::ns(steady_now_ns()) + extension;
+    entry.expiry_timer =
+        entry.expires_at == sim::Time::max()
+            ? 0
+            : wheel.arm(entry.expires_at.count_ns(), tuple_id);
     ++barrier_stats_.renewals;
-    out = Lease{tuple_id, deadline_ns < 0 ? sim::Time::max()
-                                          : sim::Time::ns(deadline_ns)};
-    break;
+    out = Lease{tuple_id, entry.expires_at};
   }
   if (log_ != nullptr) {
     OpRecord rec;
@@ -1410,14 +1197,11 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
 bool ThreadedSpaceEngine::cancel(std::uint64_t tuple_id) {
   barrier_acquire();
   const std::uint64_t ticket = next_ticket();
-  bool ok = false;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    auto it = shards_[s]->entries.find(tuple_id);
-    if (it == shards_[s]->entries.end()) continue;
-    erase_entry(static_cast<int>(s), it);
+  const EntryRef found = find_by_id(stores_, tuple_id);
+  const bool ok = static_cast<bool>(found);
+  if (ok) {
+    erase_entry(found);
     ++barrier_stats_.cancellations;
-    ok = true;
-    break;
   }
   if (log_ != nullptr) {
     OpRecord rec;
@@ -1497,21 +1281,10 @@ std::vector<Tuple> ThreadedSpaceEngine::snapshot() {
   const std::uint64_t ticket = next_ticket();
   std::vector<Tuple> out;
   out.reserve(entry_count_.load(std::memory_order_relaxed));
-  std::vector<std::map<std::uint64_t, TEntry>::const_iterator> cursor;
-  cursor.reserve(shards_.size());
-  for (auto& sh : shards_) cursor.push_back(sh->entries.cbegin());
-  for (;;) {
-    int best = -1;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor[s] == shards_[s]->entries.cend()) continue;
-      if (best < 0 ||
-          cursor[s]->first < cursor[static_cast<std::size_t>(best)]->first) {
-        best = static_cast<int>(s);
-      }
-    }
-    if (best < 0) break;
-    out.push_back((cursor[static_cast<std::size_t>(best)]++)->second.tuple);
-  }
+  merge_by_id(stores_, [&out](int, ShardStore::iterator it) {
+    out.push_back(it->second.tuple);
+    return true;
+  });
   if (log_ != nullptr) {
     // The cut is itself a linearized op: the replay rebuilds the oracle's
     // space at this ticket and compares cuts, so mid-run consistency is
@@ -1619,8 +1392,8 @@ void ThreadedSpaceEngine::shutdown() {
   // Workers are gone: complete every parked blocking op with nullopt,
   // logged exactly like a timeout so the oracle replay cancels them at the
   // same instant.
-  auto cancel_all = [this](std::list<TWaiter>& queue, Stats& stats) {
-    for (TWaiter& waiter : queue) {
+  auto cancel_all = [this](std::list<Waiter>& queue, Stats& stats) {
+    for (Waiter& waiter : queue) {
       ++stats.misses;
       const std::uint64_t cancel_ticket = next_ticket();
       cancel_waiter_record(waiter, cancel_ticket);

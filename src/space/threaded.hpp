@@ -1,6 +1,7 @@
 // Real-thread concurrent tuplespace runtime (DESIGN.md §11, hot path §15).
 //
-// Shard state (entry map, type index, named-waiter queue, stats, timer
+// Shard state (its ShardStore — the same store the deterministic engine
+// drives, shard_store.hpp — plus the named-waiter queue, stats and timer
 // wheel) is touched only while holding the shard's atomic *ownership word*
 // — a one-word CAS lock that replaces the actor mailbox handshake. Named
 // operations enqueue a pooled request cell into the shard's bounded MPSC
@@ -43,15 +44,15 @@
 // wheel keyed in engine-relative steady-clock nanoseconds, serviced at the
 // top of every drain by whoever owns the shard. The reclamation draws its
 // own linearization ticket, logged as kLeaseExpire. Visibility is
-// presence: matching needs no deadline checks, because an entry is exactly
-// as visible as its not-yet-reclaimed state — which is what the replay
-// pre-pass reproduces in the oracle (expiry-at-ticket, oplog.hpp). The
-// wheel's next deadline is mirrored into an atomic on ownership release so
-// the (possibly sleeping) worker can bound its idle wait without touching
-// owner-only state. Renew/cancel-by-id are all-shard ops: ids do not
-// encode their shard, and a probe-per-shard protocol could falsely
-// linearize a miss (an abort can restore a held entry on an already-probed
-// shard before the final probe's ticket).
+// presence: lookups pass the store the kAllVisible cutoff, because an
+// entry is exactly as visible as its not-yet-reclaimed state — which is
+// what the replay pre-pass reproduces in the oracle (expiry-at-ticket,
+// oplog.hpp). The wheel's next deadline is mirrored into an atomic on
+// ownership release so the (possibly sleeping) worker can bound its idle
+// wait without touching owner-only state. Renew/cancel-by-id are
+// all-shard ops: ids do not encode their shard, and a probe-per-shard
+// protocol could falsely linearize a miss (an abort can restore a held
+// entry on an already-probed shard before the final probe's ticket).
 //
 // Remaining intentional restrictions (TB_REQUIRE-guarded): transactional
 // writes keep forever leases (commit publication would need to re-arm
@@ -70,14 +71,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/space/engine.hpp"
 #include "src/space/oplog.hpp"
+#include "src/space/shard_store.hpp"
 #include "src/space/tuple.hpp"
 #include "src/util/mpsc_ring.hpp"
 
@@ -202,8 +202,7 @@ class ThreadedSpaceEngine {
   }
   int shard_count() const { return static_cast<int>(shards_.size()); }
   int shard_of(std::uint64_t key) const {
-    return shards_.size() == 1 ? 0
-                               : static_cast<int>(key % shards_.size());
+    return shard_index(key, shards_.size());
   }
   std::size_t inbox_depth(int shard) const {
     return shards_.at(static_cast<std::size_t>(shard))->ring.approx_size();
@@ -234,24 +233,11 @@ class ThreadedSpaceEngine {
  private:
   struct Request;
 
-  struct TEntry {
-    std::uint64_t id = 0;  ///< the write's linearization ticket
-    Tuple tuple;
-    std::uint64_t type_key = 0;
-    std::size_t byte_size = 0;
-    sim::TimerWheel::TimerId expiry_timer = 0;  ///< on the shard's wheel
-  };
-
-  struct TWaiter {
+  struct Waiter {
     std::uint64_t id = 0;  ///< registration ticket
     Template tmpl;
     bool take = false;
     Request* req = nullptr;  ///< pooled cell owned by the parked client
-  };
-
-  struct TxnState {
-    std::vector<std::pair<std::uint64_t, Tuple>> writes;  ///< (ticket, tuple)
-    std::vector<TEntry> held;
   };
 
   /// Notification deliveries collected while holding shard state; flushed
@@ -259,7 +245,8 @@ class ThreadedSpaceEngine {
   using FireBatch = std::vector<std::pair<NotifyCallback, Tuple>>;
 
   struct Shard {
-    explicit Shard(std::size_t inbox_capacity) : ring(inbox_capacity) {}
+    explicit Shard(const SpaceConfig& config)
+        : ring(config.inbox_capacity), store(config) {}
 
     /// Data-plane inbox: bounded MPSC ring of pooled request cells.
     util::MpscRing<Request*> ring;
@@ -283,13 +270,11 @@ class ThreadedSpaceEngine {
     std::condition_variable park_cv;
 
     // Owner-only shard state.
-    std::map<std::uint64_t, TEntry> entries;
-    std::unordered_map<std::uint64_t, std::set<std::uint64_t>> index;
-    std::list<TWaiter> waiters;
-    std::size_t stored_bytes = 0;
+    ShardStore store;
+    std::list<Waiter> waiters;
     Stats stats;
     /// Finite-lease timers, payload = entry id, deadlines in
-    /// engine-relative steady ns. Owner-only like the entry map.
+    /// engine-relative steady ns. Owner-only like the store.
     sim::TimerWheel wheel;
 
     // Exported metrics: atomics, safe to read from any thread.
@@ -336,34 +321,43 @@ class ThreadedSpaceEngine {
   void apply_blocking(int shard_idx, Request& req, bool take);
   void apply_cancel_waiter(int shard_idx, Request& req);
 
-  /// Serves waiters then stores; returns true when a blocked take consumed
-  /// the tuple. `cross_locked` = cross_mu_ is held, so the wildcard queue
-  /// participates in the registration-order merge. `deadline_ns` is the
-  /// entry's steady-ns expiry (-1 = forever).
-  bool serve_and_store(int shard_idx, std::uint64_t id, Tuple tuple,
-                       bool cross_locked, std::int64_t deadline_ns);
-  void store_entry(int shard_idx, std::uint64_t id, Tuple tuple,
-                   std::int64_t deadline_ns);
+  /// Serves waiters, then stores the tuple unless a blocked take consumed
+  /// it. `cross_locked` = cross_mu_ is held, so the wildcard queue
+  /// participates in the registration-order merge. `expires_at` is the
+  /// entry's steady-ns expiry (sim::Time::max() = forever).
+  void serve_and_store(int shard_idx, std::uint64_t id, Tuple tuple,
+                       bool cross_locked, sim::Time expires_at);
   /// Reclaims every entry whose wheel deadline has passed, drawing one
   /// ticket per expiry (logged as kLeaseExpire). Caller owns the shard.
   void service_shard_wheel(int shard_idx);
   /// Nanoseconds since the engine's steady-clock epoch.
   std::int64_t steady_now_ns() const;
-  /// Oldest live entry matching tmpl on one shard; entries.end() when none.
-  std::map<std::uint64_t, TEntry>::iterator find_in_shard(
-      int shard_idx, const Template& tmpl);
-  void erase_entry(int shard_idx,
-                   std::map<std::uint64_t, TEntry>::iterator it);
+  /// Oldest stored match; the caller owns the shard(s) it may live on.
+  EntryRef find_match(const Template& tmpl, Stats& stats) {
+    return find_oldest(stores_, tmpl, kAllVisible, stats.scan_steps);
+  }
+  /// The if-exists rule once `found` (the oldest committed match) is
+  /// known: a take under a transaction holds the entry; a miss falls back
+  /// to the transaction's own provisional writes.
+  std::optional<Tuple> match_if_exists(EntryRef found, const Template& tmpl,
+                                       TxnView* txn, bool take, Stats& stats);
+  /// read_all / take_all over the owned shard(s), logged at `ticket`.
+  std::vector<Tuple> match_all(const Template& tmpl, std::size_t max,
+                               bool take, std::uint64_t ticket, Stats& stats);
+  void erase_entry(EntryRef ref);
   /// Collects matching notify callbacks (cross_mu_ held); deliver after
   /// the exclusive section via fire_collected().
   void collect_notifications(const Tuple& tuple, FireBatch* fire);
   /// Delivers a drain's collected notifications: one post_batch through
   /// the bridge, or direct invocation. Call with no shard state held.
   void fire_collected(FireBatch fire);
+  /// Logs a blocked-op record completed with `result` (no-op unlogged).
+  void log_blocked(std::uint64_t ticket, bool take, const Template& tmpl,
+                   const std::optional<Tuple>& result);
   /// Completes a served waiter: logs the blocked-op record and wakes the
   /// parked client.
-  void complete_waiter(const TWaiter& waiter, Tuple tuple);
-  void cancel_waiter_record(const TWaiter& waiter, std::uint64_t cancel_ticket);
+  void complete_waiter(const Waiter& waiter, Tuple tuple);
+  void cancel_waiter_record(const Waiter& waiter, std::uint64_t cancel_ticket);
 
   /// Acquires every shard's ownership word in index order (serialized by
   /// barrier_mu_); returns with exclusive access to all shard state.
@@ -375,10 +369,6 @@ class ThreadedSpaceEngine {
   /// flat-combines the shard once the workers are joined).
   void own_all_shards();
   void disown_all_shards();
-
-  /// Oldest live entry matching tmpl across all shards (all owned).
-  std::pair<int, std::map<std::uint64_t, TEntry>::iterator> find_across(
-      const Template& tmpl);
 
   std::uint64_t next_ticket() {
     return lin_ticket_.fetch_add(1, std::memory_order_relaxed);
@@ -402,11 +392,17 @@ class ThreadedSpaceEngine {
   /// Result fields must be written before the call.
   static void signal_phase(Request& req, std::uint32_t bit);
 
-  TxnState* find_txn(std::uint64_t txn);
+  TxnView* find_txn(std::uint64_t txn);
 
   std::optional<Tuple> blocking_op(const Template& tmpl,
                                    std::chrono::nanoseconds timeout,
                                    bool take);
+  /// Named ops go through the owning shard's ring; wildcards take the
+  /// all-shard sequence point.
+  std::optional<Tuple> submit_if_exists(const Template& tmpl,
+                                        std::uint64_t txn, bool take);
+  std::vector<Tuple> submit_bulk(const Template& tmpl, std::size_t max,
+                                 bool take);
   std::optional<Tuple> wildcard_if_exists(const Template& tmpl,
                                           std::uint64_t txn, bool take);
   std::vector<Tuple> wildcard_bulk(const Template& tmpl, std::size_t max,
@@ -423,6 +419,7 @@ class ThreadedSpaceEngine {
       std::chrono::steady_clock::now();
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<ShardStore*> stores_;  ///< &shards_[s]->store, by shard
 
   /// Slab of reusable request cells (zero heap allocation per op); sync
   /// ops release their cell on return, drains release async cells.
@@ -439,7 +436,7 @@ class ThreadedSpaceEngine {
   /// (sound because registrations run under the all-shard acquisition —
   /// see header).
   std::mutex cross_mu_;
-  std::list<TWaiter> wildcard_waiters_;
+  std::list<Waiter> wildcard_waiters_;
   std::map<std::uint64_t, NotifyReg> notifies_;
   std::atomic<std::size_t> cross_count_{0};
   Stats cross_stats_;  ///< cross_mu_-guarded (notifications, wildcard serves)
@@ -451,7 +448,7 @@ class ThreadedSpaceEngine {
   Stats barrier_stats_;  ///< only touched while all shards are held
 
   std::mutex txn_mu_;
-  std::map<std::uint64_t, std::unique_ptr<TxnState>> txns_;
+  std::map<std::uint64_t, std::unique_ptr<TxnView>> txns_;
 
   std::atomic<std::size_t> entry_count_{0};
   std::atomic<std::size_t> blocked_count_{0};

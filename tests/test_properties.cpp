@@ -8,12 +8,13 @@
 #include "src/mw/codec.hpp"
 #include "src/mw/framing.hpp"
 #include "src/sim/process.hpp"
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 #include "src/util/rng.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/master.hpp"
 #include "src/wire/segment.hpp"
 #include "src/wire/timing.hpp"
+#include "tests/naive_space.hpp"
 
 namespace tb {
 namespace {
@@ -350,17 +351,22 @@ TEST(RspProperty, RandomPayloadsWithInterPacketNoise) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuplespace: indexed and linear stores behave identically under a random
-// operation sequence (a small model-equivalence check).
+// Tuplespace: indexed, linear and sharded stores and the naive reference
+// space (tests/naive_space.hpp, no code shared with the store) behave
+// identically under a random operation sequence.
 
 class SpaceEquivalenceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpaceEquivalenceProperty, IndexedAndLinearAgreeOnRandomOps) {
   util::Xoshiro256 rng(GetParam() * 104'729);
-  sim::Simulator sim_a(1), sim_b(1);
+  sim::Simulator sim_a(1), sim_b(1), sim_c(1);
   space::SpaceConfig no_index;
   no_index.use_type_index = false;
-  space::TupleSpace indexed(sim_a), linear(sim_b, no_index);
+  space::SpaceConfig four_shards;
+  four_shards.shard_count = 4;
+  space::SpaceEngine indexed(sim_a), linear(sim_b, no_index),
+      sharded(sim_c, four_shards);
+  space::NaiveSpace naive;
 
   auto random_tuple = [&] {
     return space::make_tuple(
@@ -380,25 +386,55 @@ TEST_P(SpaceEquivalenceProperty, IndexedAndLinearAgreeOnRandomOps) {
   };
 
   for (int op = 0; op < 500; ++op) {
-    switch (rng.uniform(0, 2)) {
+    switch (rng.uniform(0, 4)) {
       case 0: {
         const space::Tuple t = random_tuple();
-        indexed.write(t);
-        linear.write(t);
+        const std::uint64_t id = indexed.write(t).id;
+        ASSERT_EQ(linear.write(t).id, id);
+        ASSERT_EQ(sharded.write(t).id, id);
+        naive.write(id, t);
         break;
       }
       case 1: {
         const space::Template tmpl = random_template();
-        EXPECT_EQ(indexed.take_if_exists(tmpl), linear.take_if_exists(tmpl));
+        const auto want = naive.take_if_exists(tmpl);
+        EXPECT_EQ(indexed.take_if_exists(tmpl), want);
+        EXPECT_EQ(linear.take_if_exists(tmpl), want);
+        EXPECT_EQ(sharded.take_if_exists(tmpl), want);
+        break;
+      }
+      case 2: {
+        const space::Template tmpl = random_template();
+        const auto want = naive.read_if_exists(tmpl);
+        EXPECT_EQ(indexed.read_if_exists(tmpl), want);
+        EXPECT_EQ(linear.read_if_exists(tmpl), want);
+        EXPECT_EQ(sharded.read_if_exists(tmpl), want);
+        break;
+      }
+      case 3: {
+        const space::Template tmpl = random_template();
+        const std::size_t max = rng.uniform(0, 4);
+        const auto want = naive.read_all(tmpl, max);
+        EXPECT_EQ(indexed.read_all(tmpl, max), want);
+        EXPECT_EQ(linear.read_all(tmpl, max), want);
+        EXPECT_EQ(sharded.read_all(tmpl, max), want);
         break;
       }
       default: {
         const space::Template tmpl = random_template();
-        EXPECT_EQ(indexed.read_if_exists(tmpl), linear.read_if_exists(tmpl));
+        const std::size_t max = rng.uniform(0, 4);
+        const auto want = naive.take_all(tmpl, max);
+        EXPECT_EQ(indexed.take_all(tmpl, max), want);
+        EXPECT_EQ(linear.take_all(tmpl, max), want);
+        EXPECT_EQ(sharded.take_all(tmpl, max), want);
       }
     }
-    ASSERT_EQ(indexed.size(), linear.size());
+    ASSERT_EQ(indexed.size(), naive.size());
+    ASSERT_EQ(linear.size(), naive.size());
+    ASSERT_EQ(sharded.size(), naive.size());
   }
+  EXPECT_EQ(indexed.snapshot(), naive.snapshot());
+  EXPECT_EQ(sharded.snapshot(), naive.snapshot());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpaceEquivalenceProperty,

@@ -1,4 +1,4 @@
-#include "src/space/space.hpp"
+#include "src/space/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ Template any_named(const std::string& name, std::size_t arity) {
 class SpaceTest : public ::testing::Test {
  protected:
   sim::Simulator sim_{1};
-  TupleSpace space_{sim_};
+  SpaceEngine space_{sim_};
 };
 
 TEST_F(SpaceTest, WriteThenReadIfExists) {
@@ -279,7 +279,7 @@ TEST_F(SpaceTest, IndexedAndLinearModesAgree) {
   SpaceConfig no_index;
   no_index.use_type_index = false;
   sim::Simulator sim2(1);
-  TupleSpace linear(sim2, no_index);
+  SpaceEngine linear(sim2, no_index);
 
   for (int i = 0; i < 50; ++i) {
     Tuple t(i % 2 == 0 ? "even" : "odd", {Value(i)});
@@ -302,7 +302,7 @@ TEST_F(SpaceTest, IndexReducesScanSteps) {
   SpaceConfig no_index;
   no_index.use_type_index = false;
   sim::Simulator sim2(1);
-  TupleSpace linear(sim2, no_index);
+  SpaceEngine linear(sim2, no_index);
 
   for (int i = 0; i < 100; ++i) {
     space_.write(Tuple("noise", {Value(i), Value(i)}));
@@ -449,7 +449,7 @@ TEST_F(SpaceTest, ReadAllAndTakeAllOrderMatchWithoutIndex) {
   // must match the indexed path exactly.
   SpaceConfig config;
   config.use_type_index = false;
-  TupleSpace flat(sim_, config);
+  SpaceEngine flat(sim_, config);
   for (int i = 0; i < 4; ++i) flat.write(space::make_tuple("t", std::int64_t{i}));
   const auto read = flat.read_all(any_named("t", 1));
   ASSERT_EQ(read.size(), 4u);

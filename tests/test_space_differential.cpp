@@ -14,6 +14,12 @@
 // 32 seeds x shard_count {1, 4, 16} run under ctest (label: threaded); the
 // CI thread-sanitizer job runs the same binary under TSan, and the nightly
 // workflow sweeps TB_DIFF_SEEDS=192 (6x) under TSan as a long soak.
+//
+// Both runtimes drive the same ShardStore, so that replay cannot catch a
+// store bug they share (a wrong match order, say): both sides would agree.
+// ThreadedMatchesNaiveOracle closes the gap — it checks the op log record
+// by record against NaiveSpace (naive_space.hpp), a vector scan that
+// shares no code with the store.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +33,7 @@
 
 #include "src/space/oplog.hpp"
 #include "src/space/threaded.hpp"
+#include "tests/naive_space.hpp"
 
 namespace tb::space {
 namespace {
@@ -277,6 +284,159 @@ TEST(SpaceDifferential, ThreadedMatchesOracleSixteenShards) {
        ++seed) {
     run_differential_seed(seed, /*shard_count=*/16);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// The client mix NaiveSpace models: named and wildcard if-exists and bulk
+/// ops, forever and finite-lease writes, renewals and cancels racing
+/// expiry, and mid-run snapshots.
+void naive_client(ThreadedSpaceEngine& space, std::uint64_t seed, int tid) {
+  std::mt19937_64 rng(seed * 6271 + static_cast<std::uint64_t>(tid) + 1);
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::int64_t counter = tid * 1'000'000;
+  std::vector<std::uint64_t> leased;
+  for (int op = 0; op < kOpsPerClient; ++op) {
+    const int key = zipf_key(rng);
+    const int roll = pct(rng);
+    const std::size_t arity = pct(rng) < 25 ? 2u : 1u;
+    const Template tmpl = pct(rng) < 20 ? wildcard(arity)
+                                        : any_named(key_name(key), arity);
+    if (roll < 30) {
+      if (arity == 2) {
+        space.write(make_tuple(key_name(key), ++counter, std::int64_t{tid}));
+      } else {
+        space.write(make_tuple(key_name(key), ++counter));
+      }
+    } else if (roll < 42) {
+      const Lease l =
+          space.write(make_tuple(key_name(key), ++counter),
+                      sim::Time::us(50 + 200 * (pct(rng) % 4)), kNoTxn);
+      leased.push_back(l.id);
+    } else if (roll < 48 && !leased.empty()) {
+      const std::uint64_t id =
+          leased[static_cast<std::size_t>(pct(rng)) % leased.size()];
+      const sim::Time extension =
+          pct(rng) < 20 ? kLeaseForever
+                        : sim::Time::us(100 + 150 * (pct(rng) % 3));
+      (void)space.renew(id, extension);
+    } else if (roll < 52 && !leased.empty()) {
+      (void)space.cancel(
+          leased[static_cast<std::size_t>(pct(rng)) % leased.size()]);
+    } else if (roll < 66) {
+      (void)space.read_if_exists(tmpl);
+    } else if (roll < 82) {
+      (void)space.take_if_exists(tmpl);
+    } else if (roll < 88) {
+      (void)space.read_all(tmpl, 1 + static_cast<std::size_t>(pct(rng) % 4));
+    } else if (roll < 96) {
+      (void)space.take_all(tmpl, 1 + static_cast<std::size_t>(pct(rng) % 4));
+    } else {
+      (void)space.snapshot();
+    }
+  }
+}
+
+std::string describe(const std::vector<Tuple>& tuples) {
+  std::string out = "[";
+  for (const Tuple& t : tuples) {
+    if (out.size() > 1) out += ", ";
+    out += t.to_string();
+  }
+  return out + "]";
+}
+
+std::string describe(const std::optional<Tuple>& t) {
+  return t.has_value() ? t->to_string() : "<none>";
+}
+
+/// Replays `records` (ticket order) through NaiveSpace; returns the first
+/// divergence, or "" when every result and the final state agree.
+std::string check_against_naive(const std::vector<OpRecord>& records,
+                                const std::vector<Tuple>& final_state) {
+  NaiveSpace naive;
+  for (const OpRecord& r : records) {
+    const std::string at = "ticket " + std::to_string(r.ticket) + ": ";
+    switch (r.kind) {
+      case OpRecord::Kind::kWrite:
+        naive.write(r.ticket, r.tuple);
+        break;
+      case OpRecord::Kind::kReadIfExists:
+      case OpRecord::Kind::kTakeIfExists: {
+        const bool take = r.kind == OpRecord::Kind::kTakeIfExists;
+        const std::optional<Tuple> got = take ? naive.take_if_exists(r.tmpl)
+                                              : naive.read_if_exists(r.tmpl);
+        if (got != r.result) {
+          return at + (take ? "take " : "read ") + r.tmpl.to_string() +
+                 ": naive " + describe(got) + " != recorded " +
+                 describe(r.result);
+        }
+        break;
+      }
+      case OpRecord::Kind::kReadAll:
+      case OpRecord::Kind::kTakeAll: {
+        const bool take = r.kind == OpRecord::Kind::kTakeAll;
+        const std::vector<Tuple> got = take ? naive.take_all(r.tmpl, r.max)
+                                            : naive.read_all(r.tmpl, r.max);
+        if (got != r.results) {
+          return at + (take ? "take_all " : "read_all ") + r.tmpl.to_string() +
+                 ": naive " + describe(got) + " != recorded " +
+                 describe(r.results);
+        }
+        break;
+      }
+      case OpRecord::Kind::kRenew:
+        if (naive.contains(r.target) != r.ok) return at + "renew hit/miss";
+        break;
+      case OpRecord::Kind::kCancelLease:
+        if (naive.cancel(r.target) != r.ok) return at + "cancel hit/miss";
+        break;
+      case OpRecord::Kind::kLeaseExpire:
+        if (!naive.cancel(r.target)) return at + "expired a missing entry";
+        break;
+      case OpRecord::Kind::kSnapshot:
+        if (naive.snapshot() != r.results) {
+          return at + "cut: naive " + describe(naive.snapshot()) +
+                 " != recorded " + describe(r.results);
+        }
+        break;
+      default:
+        return at + "op outside the naive space's repertoire";
+    }
+  }
+  if (naive.snapshot() != final_state) {
+    return "final state: naive " + describe(naive.snapshot()) +
+           " != threaded " + describe(final_state);
+  }
+  return "";
+}
+
+TEST(SpaceDifferential, ThreadedMatchesNaiveOracle) {
+  const int seeds = seed_count();
+  for (const int shard_count : {1, 4}) {
+    for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(seeds);
+         ++seed) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " shards=" + std::to_string(shard_count));
+      OpLog log;
+      ThreadedSpaceEngine space(
+          SpaceConfig{.use_type_index = true,
+                      .shard_count = shard_count,
+                      .execution_mode = ExecutionMode::kThreaded,
+                      .inbox_capacity = 64},
+          &log);
+      std::vector<std::thread> clients;
+      for (int tid = 0; tid < kClients; ++tid) {
+        clients.emplace_back(
+            [&space, seed, tid] { naive_client(space, seed, tid); });
+      }
+      for (std::thread& t : clients) t.join();
+      // After shutdown no worker can reclaim (and log) another expiry.
+      space.shutdown();
+      const std::vector<Tuple> final_state = space.snapshot();
+      const std::string divergence =
+          check_against_naive(log.sorted(), final_state);
+      ASSERT_EQ(divergence, "");
+    }
   }
 }
 
