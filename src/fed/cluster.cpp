@@ -78,8 +78,7 @@ std::unique_ptr<FederatedClient> SimCluster::make_router() {
         Node* node = find(node_id);
         if (node == nullptr || node->core.dead()) return nullptr;
         return &channel(node_id);
-      },
-      config_.fed);
+      });
 }
 
 void SimCluster::apply_routing() {

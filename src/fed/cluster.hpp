@@ -39,7 +39,6 @@ struct ClusterConfig {
   mw::ServerConfig server;   ///< per-node template; node_id is overridden
   space::SpaceConfig space;  ///< per-node engine config
   mw::ClientConfig client;   ///< router/replication channel config
-  FederatedConfig fed;       ///< router policy for make_router()
 };
 
 class SimCluster {

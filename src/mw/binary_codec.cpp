@@ -1,4 +1,7 @@
 #include "src/mw/codec.hpp"
+
+#include <algorithm>
+
 #include "src/util/assert.hpp"
 #include "src/util/byte_buffer.hpp"
 
@@ -8,10 +11,6 @@ namespace {
 constexpr std::uint8_t kHasTuple = 0x01;
 constexpr std::uint8_t kHasTemplate = 0x02;
 constexpr std::uint8_t kOkFlag = 0x04;
-// Batch payloads ride behind new flag bits: pre-batch messages never set
-// them, so their encodings are byte-identical to the pre-batch codec.
-constexpr std::uint8_t kHasBatch = 0x08;        ///< batch_tuples + durations
-constexpr std::uint8_t kHasBatchResult = 0x10;  ///< batch_handles + expires
 constexpr std::uint8_t kHasStatus = 0x20;       ///< non-OK canonical status
 constexpr std::uint8_t kHasEpoch = 0x40;        ///< non-zero routing epoch
 
@@ -48,7 +47,10 @@ space::Tuple get_tuple(util::ByteCursor& cursor) {
   space::Tuple tuple;
   tuple.name = cursor.get_string();
   const std::uint64_t count = cursor.get_varint();
-  tuple.fields.reserve(count);
+  // The count comes off the wire: every field takes at least one byte, so
+  // a count past the unread bytes is malformed and must not size the
+  // reservation (the loop below throws once the bytes run out).
+  tuple.fields.reserve(std::min<std::uint64_t>(count, cursor.remaining()));
   for (std::uint64_t i = 0; i < count; ++i) tuple.fields.push_back(get_value(cursor));
   return tuple;
 }
@@ -107,29 +109,11 @@ void BinaryCodec::encode_into(const Message& message,
   if (message.tuple) flags |= kHasTuple;
   if (message.tmpl) flags |= kHasTemplate;
   if (message.ok) flags |= kOkFlag;
-  if (!message.batch_tuples.empty()) flags |= kHasBatch;
-  if (!message.batch_handles.empty()) flags |= kHasBatchResult;
   if (message.status != 0) flags |= kHasStatus;
   if (message.epoch != 0) flags |= kHasEpoch;
   buf.put_u8(flags);
   if (message.tuple) put_tuple(buf, *message.tuple);
   if (message.tmpl) put_template(buf, *message.tmpl);
-  if (!message.batch_tuples.empty()) {
-    TB_ASSERT(message.batch_durations.size() == message.batch_tuples.size());
-    buf.put_varint(message.batch_tuples.size());
-    for (std::size_t i = 0; i < message.batch_tuples.size(); ++i) {
-      put_tuple(buf, message.batch_tuples[i]);
-      buf.put_i64(message.batch_durations[i]);
-    }
-  }
-  if (!message.batch_handles.empty()) {
-    TB_ASSERT(message.batch_expires.size() == message.batch_handles.size());
-    buf.put_varint(message.batch_handles.size());
-    for (std::size_t i = 0; i < message.batch_handles.size(); ++i) {
-      buf.put_varint(message.batch_handles[i]);
-      buf.put_i64(message.batch_expires[i]);
-    }
-  }
   buf.put_i64(message.duration_ns);
   buf.put_varint(message.handle);
   buf.put_i64(message.expires_at_ns);
@@ -164,24 +148,6 @@ std::optional<Message> BinaryCodec::decode(
     if (flags & kHasTuple) message.tuple = get_tuple(cursor);
     if (flags & kHasTemplate) message.tmpl = get_template(cursor);
     message.ok = (flags & kOkFlag) != 0;
-    if (flags & kHasBatch) {
-      const std::uint64_t count = cursor.get_varint();
-      message.batch_tuples.reserve(count);
-      message.batch_durations.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        message.batch_tuples.push_back(get_tuple(cursor));
-        message.batch_durations.push_back(cursor.get_i64());
-      }
-    }
-    if (flags & kHasBatchResult) {
-      const std::uint64_t count = cursor.get_varint();
-      message.batch_handles.reserve(count);
-      message.batch_expires.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        message.batch_handles.push_back(cursor.get_varint());
-        message.batch_expires.push_back(cursor.get_i64());
-      }
-    }
     message.duration_ns = cursor.get_i64();
     message.handle = cursor.get_varint();
     message.expires_at_ns = cursor.get_i64();

@@ -130,16 +130,14 @@ void SpaceClient::bind_metrics(obs::Registry& registry,
   obs::Counter& events = registry.counter(prefix + ".events");
   obs::Counter& decode_errors = registry.counter(prefix + ".decode_errors");
   obs::Counter& strays = registry.counter(prefix + ".stray_responses");
-  obs::Counter& coalesced = registry.counter(prefix + ".coalesced_writes");
-  obs::Counter& batches = registry.counter(prefix + ".write_batches");
   obs::Counter& enc_msgs = registry.counter(prefix + ".codec.messages_encoded");
   obs::Counter& enc_bytes = registry.counter(prefix + ".codec.bytes_encoded");
   obs::Counter& dec_msgs = registry.counter(prefix + ".codec.messages_decoded");
   obs::Counter& dec_bytes = registry.counter(prefix + ".codec.bytes_decoded");
   registry.add_collector([this, &calls, &completed, &timeouts, &failures,
                           &retransmissions, &rejects, &events, &decode_errors,
-                          &strays, &coalesced, &batches, &enc_msgs, &enc_bytes,
-                          &dec_msgs, &dec_bytes] {
+                          &strays, &enc_msgs, &enc_bytes, &dec_msgs,
+                          &dec_bytes] {
     calls.set(stats_.calls);
     completed.set(stats_.completed);
     timeouts.set(stats_.rpc_timeouts);
@@ -149,8 +147,6 @@ void SpaceClient::bind_metrics(obs::Registry& registry,
     events.set(stats_.events);
     decode_errors.set(stats_.decode_errors);
     strays.set(stats_.stray_responses);
-    coalesced.set(stats_.coalesced_writes);
-    batches.set(stats_.write_batches);
     enc_msgs.set(stats_.messages_encoded);
     enc_bytes.set(stats_.bytes_encoded);
     dec_msgs.set(stats_.messages_decoded);
@@ -244,24 +240,6 @@ SpaceClient::MatchResult SpaceClient::typed_match_result_of(
 RpcFuture<SpaceClient::WriteResult> SpaceClient::write_async(
     space::Tuple tuple, sim::Time lease_duration, std::uint64_t txn) {
   RpcFuture<WriteResult> future;
-  if (config_.write_coalesce_max > 1 && txn == space::kNoTxn) {
-    ++stats_.coalesced_writes;
-    write_buffer_.push_back(BufferedWrite{
-        std::move(tuple), duration_ns_of(lease_duration), future});
-    if (static_cast<int>(write_buffer_.size()) >= config_.write_coalesce_max) {
-      flush_writes();  // full batch: no point waiting out the turn
-    } else if (!flush_scheduled_) {
-      // Flush at the end of the current event turn, so writes issued
-      // back-to-back share one wire message without delaying anything by
-      // simulated time.
-      flush_scheduled_ = true;
-      sim_->schedule_in(sim::Time::zero(), [this] {
-        flush_scheduled_ = false;
-        flush_writes();
-      });
-    }
-    return future;
-  }
   Message request;
   request.type = MsgType::kWriteRequest;
   request.tuple = std::move(tuple);
@@ -271,68 +249,6 @@ RpcFuture<SpaceClient::WriteResult> SpaceClient::write_async(
     future.resolve(write_result_of(response));
   });
   return future;
-}
-
-void SpaceClient::flush_writes() {
-  if (write_buffer_.empty()) return;
-  std::vector<BufferedWrite> batch = std::move(write_buffer_);
-  write_buffer_.clear();
-  ++stats_.write_batches;
-
-  if (batch.size() == 1) {
-    // Degrade: a solitary buffered write goes out in the pre-batch wire
-    // format, byte-identical to an uncoalesced client's.
-    Message request;
-    request.type = MsgType::kWriteRequest;
-    request.tuple = std::move(batch.front().tuple);
-    request.duration_ns = batch.front().duration_ns;
-    call(std::move(request),
-         [future = batch.front().future](std::optional<Message> response) {
-           future.resolve(write_result_of(response));
-         });
-    return;
-  }
-
-  Message request;
-  request.type = MsgType::kWriteBatchRequest;
-  request.batch_tuples.reserve(batch.size());
-  request.batch_durations.reserve(batch.size());
-  std::vector<RpcFuture<WriteResult>> futures;
-  futures.reserve(batch.size());
-  for (BufferedWrite& buffered : batch) {
-    request.batch_tuples.push_back(std::move(buffered.tuple));
-    request.batch_durations.push_back(buffered.duration_ns);
-    futures.push_back(std::move(buffered.future));
-  }
-  // One call() covers the whole batch: a single request id, one timeout/
-  // retransmission budget, and the server's duplicate cache keeps the batch
-  // exactly-once like any other request. Failure fails every member.
-  call(std::move(request),
-       [futures = std::move(futures)](std::optional<Message> response) {
-         const bool ok = response &&
-                         response->type == MsgType::kWriteBatchResponse &&
-                         response->ok &&
-                         response->batch_handles.size() == futures.size() &&
-                         response->batch_expires.size() == futures.size();
-         util::Status failure;
-         if (!ok) {
-           failure = status_of(response, MsgType::kWriteBatchResponse);
-           if (failure.ok()) failure = util::Aborted("malformed batch response");
-         }
-         for (std::size_t i = 0; i < futures.size(); ++i) {
-           WriteResult result;
-           result.status = failure;
-           if (ok) {
-             result.ok = true;
-             result.lease.id = response->batch_handles[i];
-             result.lease.expires_at =
-                 response->batch_expires[i] == INT64_MAX
-                     ? sim::Time::max()
-                     : sim::Time::ns(response->batch_expires[i]);
-           }
-           futures[i].resolve(std::move(result));
-         }
-       });
 }
 
 RpcFuture<std::optional<space::Tuple>> SpaceClient::take_async(

@@ -26,8 +26,6 @@ const char* to_string(MsgType type) {
     case MsgType::kTxnAbortRequest: return "txn-abort-req";
     case MsgType::kTxnResolveResponse: return "txn-resolve-resp";
     case MsgType::kError: return "error";
-    case MsgType::kWriteBatchRequest: return "write-batch-req";
-    case MsgType::kWriteBatchResponse: return "write-batch-resp";
     case MsgType::kPeekRequest: return "peek-req";
     case MsgType::kPeekResponse: return "peek-resp";
     case MsgType::kTakeByIdRequest: return "take-by-id-req";
@@ -44,8 +42,6 @@ std::string Message::to_string() const {
   os << mw::to_string(type) << "#" << request_id;
   if (tuple) os << ' ' << tuple->to_string();
   if (tmpl) os << ' ' << tmpl->to_string();
-  if (!batch_tuples.empty()) os << " batch=" << batch_tuples.size();
-  if (!batch_handles.empty()) os << " leases=" << batch_handles.size();
   if (status != 0) {
     os << " status="
        << util::status_code_name(static_cast<util::StatusCode>(status));

@@ -6,8 +6,7 @@
 // each map to a request/response pair, and notify events are pushed
 // server -> client.
 //
-// `created_at_ns` is the sender-side timestamp. With
-// ServerConfig::lease_from_send_time (default), a written entry's lease
+// `created_at_ns` is the sender-side timestamp. A written entry's lease
 // counts from this instant rather than from server arrival — the entry's
 // lifetime is a property of the tuple, not of the transport. This is what
 // makes Table 4's "Out of Time" observable: when bus congestion stretches
@@ -18,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/space/tuple.hpp"
 
@@ -43,11 +41,7 @@ enum class MsgType : std::uint8_t {
   kTxnAbortRequest,
   kTxnResolveResponse, ///< answers commit and abort
   kError,
-  // Appended after kError so every pre-batch message keeps its wire value
-  // (the binary codec writes the enum value as a raw byte).
-  kWriteBatchRequest,  ///< N coalesced writes in one framed message
-  kWriteBatchResponse, ///< per-write leases, same order as the request
-  // Federation frames (DESIGN.md §16), appended for the same reason.
+  // Federation frames (DESIGN.md §16).
   kPeekRequest,        ///< oldest live match, non-destructive; wildcard scatter
   kPeekResponse,       ///< ok + tuple + handle = global ticket of the entry
   kTakeByIdRequest,    ///< directed removal; handle = global ticket
@@ -89,16 +83,6 @@ struct Message {
   /// how stale its table is; 0 = absent. Both codecs omit the field when
   /// 0, keeping pre-federation encodings byte-identical.
   std::uint64_t epoch = 0;
-
-  // Batch-write payload (kWriteBatchRequest/-Response). Requests carry
-  // batch_tuples + batch_durations (parallel arrays); responses carry
-  // batch_handles + batch_expires, one lease per written tuple, in request
-  // order. Empty on every other message type — the codecs emit nothing for
-  // empty vectors, which keeps pre-batch encodings byte-identical.
-  std::vector<space::Tuple> batch_tuples;
-  std::vector<std::int64_t> batch_durations;
-  std::vector<std::uint64_t> batch_handles;
-  std::vector<std::int64_t> batch_expires;
 
   bool operator==(const Message&) const = default;
   std::string to_string() const;

@@ -44,7 +44,7 @@ sim::Time NodeCore::duration_of(std::int64_t ns) {
 std::optional<sim::Time> NodeCore::remaining_lease(
     std::int64_t duration_ns, std::int64_t created_at_ns) const {
   sim::Time lease_duration = duration_of(duration_ns);
-  if (config_.lease_from_send_time && lease_duration != space::kLeaseForever) {
+  if (lease_duration != space::kLeaseForever) {
     const sim::Time in_transit =
         space_->simulator().now() - sim::Time::ns(created_at_ns);
     lease_duration -= in_transit;
@@ -338,13 +338,6 @@ bool NodeCore::misrouted(const Message& request) const {
       if (!request.tuple) return false;  // the invalid-argument path answers
       return !owns_(
           space::type_key(request.tuple->name, request.tuple->fields.size()));
-    case MsgType::kWriteBatchRequest:
-      for (const space::Tuple& tuple : request.batch_tuples) {
-        if (!owns_(space::type_key(tuple.name, tuple.fields.size()))) {
-          return true;
-        }
-      }
-      return false;
     case MsgType::kReadRequest:
     case MsgType::kTakeRequest:
       // Wildcard (unnamed) templates are never filtered: they arrive via
@@ -380,9 +373,6 @@ void NodeCore::process(SessionId session, Message request) {
   switch (request.type) {
     case MsgType::kWriteRequest:
       handle_write(session, request);
-      return;
-    case MsgType::kWriteBatchRequest:
-      handle_write_batch(session, request);
       return;
     case MsgType::kReadRequest:
       handle_match(session, request, /*take=*/false);
@@ -506,85 +496,6 @@ void NodeCore::handle_write(SessionId session, Message& request) {
                 });
       return;
     }
-  }
-  respond(session, response);
-}
-
-void NodeCore::handle_write_batch(SessionId session, Message& request) {
-  Message response;
-  response.type = MsgType::kWriteBatchResponse;
-  response.request_id = request.request_id;
-  if (request.batch_tuples.empty() ||
-      request.batch_durations.size() != request.batch_tuples.size()) {
-    response.ok = false;
-    response.error = "malformed write batch";
-    response.status =
-        static_cast<std::uint8_t>(util::StatusCode::kInvalidArgument);
-    respond(session, response);
-    return;
-  }
-  if (request.txn != space::kNoTxn &&
-      !space_->transaction_open(request.txn)) {
-    response.ok = false;
-    response.error = "unknown transaction";
-    response.status = static_cast<std::uint8_t>(util::StatusCode::kNotFound);
-    respond(session, response);
-    return;
-  }
-  // One service-stage hop covers the whole batch — that amortization is the
-  // point of coalescing. Each write still gets its own lease accounting
-  // (shared send timestamp) and its own slot in the response.
-  const bool ticketed = ticketing() && request.txn == space::kNoTxn;
-  std::vector<Message> repl_frames;
-  response.ok = true;
-  response.batch_handles.reserve(request.batch_tuples.size());
-  response.batch_expires.reserve(request.batch_tuples.size());
-  for (std::size_t i = 0; i < request.batch_tuples.size(); ++i) {
-    const std::optional<sim::Time> lease_duration =
-        remaining_lease(request.batch_durations[i], request.created_at_ns);
-    if (!lease_duration) {
-      ++stats_.dead_on_arrival;
-      response.batch_handles.push_back(0);
-      response.batch_expires.push_back(request.created_at_ns +
-                                       request.batch_durations[i]);
-      continue;
-    }
-    ++stats_.named_ops;
-    space::Tuple recorded;
-    if (ticketed) recorded = request.batch_tuples[i];
-    const space::Lease lease = space_->write(
-        std::move(request.batch_tuples[i]), *lease_duration, request.txn);
-    ++stats_.batched_writes;
-    response.batch_handles.push_back(lease.id);
-    response.batch_expires.push_back(lease.expires_at == sim::Time::max()
-                                         ? INT64_MAX
-                                         : lease.expires_at.count_ns());
-    if (ticketed) {
-      const std::uint64_t ticket = draw_ticket();
-      record_write(lease.id, recorded, ticket);
-      if (standby_) {
-        Message frame;
-        frame.type = MsgType::kReplicateWriteRequest;
-        frame.tuple = std::move(recorded);
-        frame.handle = ticket;
-        frame.duration_ns = *lease_duration == space::kLeaseForever
-                                ? INT64_MAX
-                                : lease_duration->count_ns();
-        repl_frames.push_back(std::move(frame));
-      }
-    }
-  }
-  if (!repl_frames.empty()) {
-    // The batch acks as a unit: hold the response until every member's
-    // replication record is confirmed.
-    auto remaining = std::make_shared<std::size_t>(repl_frames.size());
-    auto resp = std::make_shared<Message>(std::move(response));
-    for (Message& frame : repl_frames) {
-      replicate(std::move(frame), [this, session, remaining, resp] {
-        if (--*remaining == 0) respond(session, std::move(*resp));
-      });
-    }
-    return;
   }
   respond(session, response);
 }
@@ -910,7 +821,6 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Counter& overload = registry.counter(prefix + ".overload_rejects");
   obs::Counter& flushes =
       registry.counter(prefix + ".notify_batch_flushes");
-  obs::Counter& batched = registry.counter(prefix + ".batched_writes");
   obs::Counter& misroutes = registry.counter(prefix + ".misroute_rejects");
   obs::Counter& unknown = registry.counter(prefix + ".unknown_frames");
   obs::Counter& enc_msgs = registry.counter(prefix + ".codec.messages_encoded");
@@ -919,9 +829,9 @@ void NodeCore::bind_metrics(obs::Registry& registry,
   obs::Counter& dec_bytes = registry.counter(prefix + ".codec.bytes_decoded");
   registry.add_collector([this, &requests, &responses, &events, &decode_errors,
                           &doa, &replayed, &ignored, &rejected, &queued,
-                          &adm_queued, &overload, &flushes, &batched,
-                          &misroutes, &unknown, &enc_msgs, &enc_bytes,
-                          &dec_msgs, &dec_bytes] {
+                          &adm_queued, &overload, &flushes, &misroutes,
+                          &unknown, &enc_msgs, &enc_bytes, &dec_msgs,
+                          &dec_bytes] {
     requests.set(stats_.requests);
     responses.set(stats_.responses);
     events.set(stats_.events_pushed);
@@ -934,7 +844,6 @@ void NodeCore::bind_metrics(obs::Registry& registry,
     adm_queued.set(stats_.admission_queued);
     overload.set(stats_.overload_rejects);
     flushes.set(stats_.notify_batch_flushes);
-    batched.set(stats_.batched_writes);
     misroutes.set(stats_.misroute_rejects);
     unknown.set(stats_.unknown_frames);
     enc_msgs.set(stats_.messages_encoded);

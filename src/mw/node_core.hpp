@@ -29,7 +29,7 @@
 //
 // Session/dispatch semantics are unchanged from the pre-federation server:
 // see ServerConfig below for pipeline_depth / max_service_slots /
-// admission_queue_limit, and message.hpp for lease_from_send_time.
+// admission_queue_limit.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +58,6 @@ namespace tb::mw {
 struct ServerConfig {
   /// Per-request processing latency (RMI dispatch + socket wrapper).
   sim::Time service_delay = sim::Time::ms(2);
-
-  /// Count entry leases from the request's send timestamp rather than from
-  /// server arrival.
-  bool lease_from_send_time = true;
 
   /// Max requests per session concurrently in the service stage; excess
   /// arrivals queue FIFO in the session. 0 = unbounded (legacy behavior,
@@ -107,7 +103,6 @@ class NodeCore {
     std::uint64_t admission_queued = 0;     ///< waited for a global slot
     std::uint64_t overload_rejects = 0;     ///< shed with RESOURCE_EXHAUSTED
     std::uint64_t notify_batch_flushes = 0; ///< batched event deliveries
-    std::uint64_t batched_writes = 0;   ///< tuples written via batch requests
     std::uint64_t messages_encoded = 0;
     std::uint64_t bytes_encoded = 0;   ///< codec output, pre-framing
     std::uint64_t messages_decoded = 0;
@@ -243,7 +238,6 @@ class NodeCore {
   void respond(SessionId session, Message response);
 
   void handle_write(SessionId session, Message& request);
-  void handle_write_batch(SessionId session, Message& request);
   void handle_match(SessionId session, Message& request, bool take);
   void handle_notify(SessionId session, const Message& request);
   void handle_renew(SessionId session, const Message& request);
@@ -272,7 +266,8 @@ class NodeCore {
   /// the standby confirms (immediately when no standby is attached).
   void replicate(Message frame, std::function<void()> on_acked);
 
-  /// Lease/timeout duration left after transit; nullopt = dead on arrival.
+  /// Lease/timeout duration left after transit (leases count from the
+  /// request's send timestamp, see message.hpp); nullopt = dead on arrival.
   std::optional<sim::Time> remaining_lease(std::int64_t duration_ns,
                                            std::int64_t created_at_ns) const;
 

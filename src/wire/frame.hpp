@@ -99,6 +99,18 @@ struct RxFrame {
 /// Number of bits in every TpWIRE frame.
 inline constexpr int kFrameBits = 16;
 
+/// Slave watchdog: a slave resets when it sees no valid TX frame for this
+/// many bit periods (fixed by the spec).
+inline constexpr int kResetTimeoutBits = 2048;
+
+/// Reset pulse width: a slave is unresponsive for this many bit periods
+/// once its watchdog fires (fixed by the spec).
+inline constexpr int kResetPulseBits = 33;
+
+/// Wait the master inserts after a broadcast TX (no slave replies on
+/// broadcast), in bit periods.
+inline constexpr int kBroadcastGapBits = 16;
+
 /// Maximum addressable node id; 127 is the broadcast pseudo-node.
 inline constexpr std::uint8_t kMaxNodeId = 126;
 inline constexpr std::uint8_t kBroadcastNodeId = 127;

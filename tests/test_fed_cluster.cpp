@@ -210,6 +210,66 @@ TEST_F(FedClusterTest, UnknownFrameAnsweredUnimplemented) {
   EXPECT_EQ(cluster.core(0).stats().unknown_frames, 1u);
 }
 
+// The router's retry bounds are constants: a named write whose owner never
+// has a channel refreshes the table a fixed number of times (3) and then
+// gives up with UNAVAILABLE instead of spinning.
+TEST_F(FedClusterTest, NamedWriteWithNoChannelGivesUpAfterRetryBound) {
+  sim::Simulator sim{1};
+  SharedRoutingSource routing;
+  routing.publish(table_from_members(1, {1, 2}));
+  FederatedClient router(sim, routing,
+                         [](std::uint32_t) -> mw::SpaceClient* {
+                           return nullptr;
+                         });
+
+  util::Status status;
+  drive(sim, [&]() -> sim::Task<void> {
+    status = co_await router.write_status(
+        space::make_tuple("orphan", std::int64_t{1}), space::kLeaseForever);
+  });
+  EXPECT_EQ(status.code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(router.stats().routed_writes, 0u);
+  EXPECT_EQ(router.stats().misroute_refreshes, 3u);
+  EXPECT_EQ(router.stats().table_fetches, 4u);  // first fetch + 3 refreshes
+}
+
+// A blocking wildcard read cannot park on any one node, so it polls every
+// 5 ms and stops once the next poll would pass its deadline. The last peek
+// round may start just before the deadline, so on an empty cluster the
+// nullopt arrives at most one peek round trip after it — the same slack a
+// named blocking op has, whose server-side wait starts on arrival and whose
+// reply still has to travel back.
+TEST_F(FedClusterTest, BlockingWildcardReadPollsUntilDeadline) {
+  const ClusterConfig config{.nodes = 2};
+  const sim::Time poll_interval = 5_ms;
+  const sim::Time round_trip =
+      config.one_way_delay * 2 + config.server.service_delay;
+  for (sim::Time timeout = 100_us; timeout <= 20_ms; timeout += 100_us) {
+    sim::Simulator sim{1};
+    SimCluster cluster(sim, config);
+    auto router = cluster.make_router();
+
+    std::optional<space::Tuple> result;
+    sim::Time deadline;
+    sim::Time returned_at;
+    drive(sim, [&]() -> sim::Task<void> {
+      deadline = sim.now() + timeout;
+      result = co_await router->read(wildcard_template(), timeout);
+      returned_at = sim.now();
+    });
+    SCOPED_TRACE(::testing::Message() << "timeout " << timeout.count_ns()
+                                      << " ns");
+    EXPECT_FALSE(result.has_value());
+    EXPECT_LE(returned_at.count_ns(), (deadline + round_trip).count_ns());
+    // No early give-up: it stopped only because the next poll would land
+    // past the deadline.
+    EXPECT_GT((returned_at + poll_interval).count_ns(), deadline.count_ns());
+    if (timeout >= round_trip + poll_interval) {
+      EXPECT_GT(router->stats().polls, 0u);
+    }
+  }
+}
+
 // Acceptance leg 2: the 4-node run drains in exactly the order the 1-node
 // run drains — the scatter/merge is equivalent to one big space.
 TEST_F(FedClusterTest, FourNodeDrainMatchesSingleNodeOrder) {

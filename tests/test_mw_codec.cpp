@@ -4,6 +4,10 @@
 
 #include <climits>
 #include <memory>
+#include <optional>
+#include <vector>
+
+#include "src/util/byte_buffer.hpp"
 
 namespace tb::mw {
 namespace {
@@ -158,6 +162,27 @@ TEST(BinaryCodecTest, RejectsTrailingBytes) {
 TEST(BinaryCodecTest, RejectsEmpty) {
   BinaryCodec codec;
   EXPECT_FALSE(codec.decode({}).has_value());
+}
+
+// A tuple's field count comes straight off the wire. A short frame that
+// claims 2^40 or 2^63-1 fields is malformed input, so decode() must answer
+// nullopt rather than let an allocation failure escape.
+TEST(BinaryCodecTest, HugeFieldCountIsMalformed) {
+  BinaryCodec codec;
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, static_cast<std::uint64_t>(INT64_MAX)}) {
+    util::ByteBuffer buf;
+    buf.put_u8(static_cast<std::uint8_t>(MsgType::kWriteRequest));
+    buf.put_varint(1);   // request id
+    buf.put_i64(0);      // created_at_ns
+    buf.put_u8(0x01);    // flags: tuple present
+    buf.put_string("");  // tuple name
+    buf.put_varint(count);
+    const std::vector<std::uint8_t> bytes = buf.take();
+    std::optional<Message> decoded;
+    EXPECT_NO_THROW(decoded = codec.decode(bytes)) << count;
+    EXPECT_FALSE(decoded.has_value()) << count;
+  }
 }
 
 TEST(CodecComparison, BinaryIsSubstantiallySmallerThanXml) {

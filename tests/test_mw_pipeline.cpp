@@ -1,7 +1,7 @@
 // Pipelined request dispatch (DESIGN.md §10): multiple outstanding requests
 // per connection, out-of-order replies matched by request id, the
-// pipeline_depth service-stage bound, request-id validation, and write
-// coalescing into kWriteBatchRequest.
+// pipeline_depth service-stage bound, request-id validation, and admission
+// control.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -159,100 +159,6 @@ TEST_F(PipelineTest, UnboundedDepthServesConcurrently) {
   EXPECT_EQ(completions[1], 12_ms);
   EXPECT_EQ(server_.stats().pipeline_queued, 0u);
   EXPECT_EQ(server_.peak_in_service(), 2u);
-}
-
-class CoalescingTest : public PipelineTest {
- protected:
-  CoalescingTest()
-      : PipelineTest(ServerConfig{}, ClientConfig{.write_coalesce_max = 8}) {}
-};
-
-TEST_F(CoalescingTest, SameTurnWritesShareOneBatchMessage) {
-  auto w1 = client_.write_async(space::make_tuple("a", space::Value(1)),
-                                space::kLeaseForever);
-  auto w2 = client_.write_async(space::make_tuple("b", space::Value(2)),
-                                space::kLeaseForever);
-  auto w3 = client_.write_async(space::make_tuple("c", space::Value(3)), 1_s);
-  sim_.run_until(100_ms);  // well past the round trip, before c's lease ends
-
-  ASSERT_TRUE(w1.done());
-  ASSERT_TRUE(w2.done());
-  ASSERT_TRUE(w3.done());
-  EXPECT_TRUE(w1.get().ok);
-  EXPECT_TRUE(w2.get().ok);
-  EXPECT_TRUE(w3.get().ok);
-  // Three writes, one wire message, three distinct leases.
-  EXPECT_EQ(client_.stats().coalesced_writes, 3u);
-  EXPECT_EQ(client_.stats().write_batches, 1u);
-  EXPECT_EQ(client_transport_.stats().messages_sent, 1u);
-  EXPECT_EQ(server_.stats().requests, 1u);
-  EXPECT_EQ(server_.stats().batched_writes, 3u);
-  EXPECT_NE(w1.get().lease.id, w2.get().lease.id);
-  EXPECT_NE(w2.get().lease.id, w3.get().lease.id);
-  EXPECT_EQ(space_.size(), 3u);
-  // The finite lease survived the batch: entry c expires, a and b stay.
-  sim_.run_until(2_s);
-  EXPECT_EQ(space_.size(), 2u);
-}
-
-TEST_F(CoalescingTest, SolitaryWriteDegradesToPlainRequest) {
-  auto w = client_.write_async(space::make_tuple("solo", space::Value(1)),
-                               space::kLeaseForever);
-  sim_.run();
-  ASSERT_TRUE(w.done());
-  EXPECT_TRUE(w.get().ok);
-  // A batch of one goes out as an ordinary kWriteRequest: the server sees
-  // no batch at all.
-  EXPECT_EQ(client_.stats().write_batches, 1u);
-  EXPECT_EQ(server_.stats().batched_writes, 0u);
-  EXPECT_EQ(server_.stats().requests, 1u);
-  EXPECT_EQ(space_.size(), 1u);
-}
-
-TEST_F(CoalescingTest, FullBufferFlushesEarly) {
-  std::vector<RpcFuture<SpaceClient::WriteResult>> futures;
-  for (int i = 0; i < 9; ++i) {  // capacity 8: first flush is early
-    futures.push_back(client_.write_async(
-        space::make_tuple("t", space::Value(i)), space::kLeaseForever));
-  }
-  sim_.run();
-  for (auto& f : futures) {
-    ASSERT_TRUE(f.done());
-    EXPECT_TRUE(f.get().ok);
-  }
-  EXPECT_EQ(client_.stats().write_batches, 2u);  // 8 + 1
-  EXPECT_EQ(server_.stats().batched_writes, 8u);
-  EXPECT_EQ(space_.size(), 9u);
-}
-
-TEST(BatchCodec, RoundTripsBothCodecs) {
-  Message request;
-  request.type = MsgType::kWriteBatchRequest;
-  request.request_id = 99;
-  request.created_at_ns = 1234;
-  request.batch_tuples.push_back(space::make_tuple("a", space::Value(1)));
-  request.batch_tuples.push_back(
-      space::make_tuple("b", space::Value(2.5), space::Value("x")));
-  request.batch_durations = {INT64_MAX, 5'000'000};
-
-  Message response;
-  response.type = MsgType::kWriteBatchResponse;
-  response.request_id = 99;
-  response.ok = true;
-  response.batch_handles = {11, 0};
-  response.batch_expires = {INT64_MAX, 777};
-
-  const XmlCodec xml;
-  const BinaryCodec binary;
-  for (const Codec* codec : {static_cast<const Codec*>(&xml),
-                             static_cast<const Codec*>(&binary)}) {
-    auto req = codec->decode(codec->encode(request));
-    ASSERT_TRUE(req.has_value()) << codec->name();
-    EXPECT_EQ(*req, request) << codec->name();
-    auto resp = codec->decode(codec->encode(response));
-    ASSERT_TRUE(resp.has_value()) << codec->name();
-    EXPECT_EQ(*resp, response) << codec->name();
-  }
 }
 
 // --- admission control (DESIGN.md §12) --------------------------------------
