@@ -62,12 +62,11 @@ void fill_noise_threaded(space::ThreadedSpaceEngine& space, int noise_tuples) {
 
 void BM_WriteTakeThreaded(benchmark::State& state) {
   // The execution_mode axis against BM_WriteTake: same write + named-take
-  // round trip through the threaded runtime's MPSC ring + flat-combining
-  // hot path (DESIGN.md §15). An uncontended sync op CAS-acquires the
-  // shard's ownership word and applies inline — zero context switches, so
-  // on a single-core host this measures the ring/ticket/combining overhead
-  // over the deterministic engine, not parallel speedup (cf. the tb::par
-  // caveat in DESIGN.md §9).
+  // round trip through the threaded runtime's hot path (DESIGN.md §15).
+  // An uncontended op takes the shard's mutex on its first try_lock and
+  // applies on the calling thread — zero context switches, so this
+  // measures the lock/ticket overhead over the deterministic engine, not
+  // parallel speedup (cf. the tb::par caveat in DESIGN.md §9).
   space::SpaceConfig config;
   config.execution_mode = space::ExecutionMode::kThreaded;
   config.shard_count = static_cast<int>(state.range(1));
@@ -88,10 +87,10 @@ BENCHMARK(BM_WriteTakeThreaded)
 
 void BM_WildcardTakeThreaded(benchmark::State& state) {
   // Wildcard ops are the threaded engine's cross-shard path: the
-  // coordinator CAS-sweeps every shard's ownership word (a sequence point,
-  // not a worker quiesce — idle shards cost one uncontested CAS each, no
-  // wakeups or condvar rendezvous), so cost grows with shard_count but
-  // only by the width of the ownership sweep.
+  // coordinator takes every shard's mutex in index order (a sequence
+  // point — idle shards cost one uncontested lock each, no wakeups), so
+  // cost grows with shard_count by the width of the lock sweep and the
+  // cross-shard merge.
   space::SpaceConfig config;
   config.execution_mode = space::ExecutionMode::kThreaded;
   config.shard_count = static_cast<int>(state.range(0));
@@ -110,13 +109,12 @@ BENCHMARK(BM_WildcardTakeThreaded)
 
 void BM_MultiProducerThreaded(benchmark::State& state) {
   // Contended hot path: P background producer threads hammer their own
-  // named keys (sync write + take round trips — each CAS-fights for shard
-  // ownership and combines into whoever holds it) while the timing thread
-  // runs the same named round trip plus a periodic wildcard read_all (the
-  // ownership-sweep sequence point under load). ns/op here is the price of
-  // the combining protocol under real contention; on a single-core host
-  // the producers also exercise every park/wake edge in the spin-then-park
-  // policy, since the timing thread's progress forces preemption mid-drain.
+  // named keys (write + take round trips, each contending for its shard's
+  // mutex) while the timing thread runs the same named round trip plus a
+  // periodic wildcard read_all (the all-shard lock sweep under load).
+  // ns/op here is the price of the spin-then-block lock under real
+  // contention; on a single-core host a holder preempted mid-apply also
+  // sends waiters through the blocking half of lock_shard().
   space::SpaceConfig config;
   config.execution_mode = space::ExecutionMode::kThreaded;
   config.shard_count = static_cast<int>(state.range(1));

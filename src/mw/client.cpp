@@ -14,10 +14,6 @@ SpaceClient::SpaceClient(sim::Simulator& sim, ClientTransport& transport,
       [this](std::span<const std::uint8_t> bytes) { handle_bytes(bytes); });
 }
 
-std::int64_t SpaceClient::duration_ns_of(sim::Time t) {
-  return t == space::kLeaseForever ? INT64_MAX : t.count_ns();
-}
-
 void SpaceClient::handle_bytes(std::span<const std::uint8_t> bytes) {
   std::optional<Message> message = codec_->decode(bytes);
   if (!message) {
@@ -206,9 +202,7 @@ SpaceClient::WriteResult SpaceClient::write_result_of(
   if (result.status.ok() && response->ok) {
     result.ok = true;
     result.lease.id = response->handle;
-    result.lease.expires_at = response->expires_at_ns == INT64_MAX
-                                  ? sim::Time::max()
-                                  : sim::Time::ns(response->expires_at_ns);
+    result.lease.expires_at = sim::Time::ns(response->expires_at_ns);
   } else if (result.status.ok()) {
     // kWriteResponse with ok=false and no wire status (legacy server).
     result.status = util::Aborted(response->error);
@@ -243,7 +237,7 @@ RpcFuture<SpaceClient::WriteResult> SpaceClient::write_async(
   Message request;
   request.type = MsgType::kWriteRequest;
   request.tuple = std::move(tuple);
-  request.duration_ns = duration_ns_of(lease_duration);
+  request.duration_ns = lease_duration.count_ns();
   request.txn = txn;
   call(std::move(request), [future](std::optional<Message> response) {
     future.resolve(write_result_of(response));
@@ -257,7 +251,7 @@ RpcFuture<std::optional<space::Tuple>> SpaceClient::take_async(
   Message request;
   request.type = MsgType::kTakeRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   request.txn = txn;
   call(std::move(request), [future](std::optional<Message> response) {
     future.resolve(match_result_of(std::move(response)));
@@ -271,7 +265,7 @@ RpcFuture<std::optional<space::Tuple>> SpaceClient::read_async(
   Message request;
   request.type = MsgType::kReadRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   request.txn = txn;
   call(std::move(request), [future](std::optional<Message> response) {
     future.resolve(match_result_of(std::move(response)));
@@ -285,7 +279,7 @@ RpcFuture<SpaceClient::MatchResult> SpaceClient::take_match_async(
   Message request;
   request.type = MsgType::kTakeRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   request.txn = txn;
   call(std::move(request), [future](std::optional<Message> response) {
     future.resolve(typed_match_result_of(std::move(response)));
@@ -299,7 +293,7 @@ RpcFuture<SpaceClient::MatchResult> SpaceClient::read_match_async(
   Message request;
   request.type = MsgType::kReadRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   request.txn = txn;
   call(std::move(request), [future](std::optional<Message> response) {
     future.resolve(typed_match_result_of(std::move(response)));
@@ -348,7 +342,7 @@ sim::Task<std::optional<std::uint64_t>> SpaceClient::notify(
   Message request;
   request.type = MsgType::kNotifyRequest;
   request.tmpl = std::move(tmpl);
-  request.duration_ns = duration_ns_of(lease_duration);
+  request.duration_ns = lease_duration.count_ns();
   std::optional<Message> response = co_await rpc(std::move(request));
   if (!response || response->type != MsgType::kNotifyResponse || !response->ok) {
     co_return std::nullopt;
@@ -362,16 +356,14 @@ sim::Task<std::optional<space::Lease>> SpaceClient::renew(
   Message request;
   request.type = MsgType::kRenewRequest;
   request.handle = lease_id;
-  request.duration_ns = duration_ns_of(extension);
+  request.duration_ns = extension.count_ns();
   std::optional<Message> response = co_await rpc(std::move(request));
   if (!response || response->type != MsgType::kRenewResponse || !response->ok) {
     co_return std::nullopt;
   }
   space::Lease lease;
   lease.id = response->handle;
-  lease.expires_at = response->expires_at_ns == INT64_MAX
-                         ? sim::Time::max()
-                         : sim::Time::ns(response->expires_at_ns);
+  lease.expires_at = sim::Time::ns(response->expires_at_ns);
   co_return lease;
 }
 
@@ -379,7 +371,7 @@ sim::Task<std::optional<std::uint64_t>> SpaceClient::begin_transaction(
     sim::Time timeout) {
   Message request;
   request.type = MsgType::kTxnBeginRequest;
-  request.duration_ns = duration_ns_of(timeout);
+  request.duration_ns = timeout.count_ns();
   std::optional<Message> response = co_await rpc(std::move(request));
   if (!response || response->type != MsgType::kTxnBeginResponse ||
       !response->ok) {

@@ -287,8 +287,6 @@ class SpaceClient {
   /// Awaitable wrapper over call().
   auto rpc(Message request);
 
-  static std::int64_t duration_ns_of(sim::Time t);
-
   sim::Simulator* sim_;
   ClientTransport* transport_;
   const Codec* codec_;

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 
+#include "src/space/engine.hpp"
 #include "src/space/tuple.hpp"
 
 namespace tb::mw {
@@ -65,6 +66,8 @@ struct Message {
   std::optional<space::Tuple> tuple;     ///< write payload / match result / event
   std::optional<space::Template> tmpl;   ///< read/take/notify pattern
   std::int64_t duration_ns = 0;          ///< lease or timeout; INT64_MAX = forever
+  static_assert(space::kLeaseForever.count_ns() == INT64_MAX,
+                "forever crosses the wire as INT64_MAX nanoseconds");
   std::uint64_t handle = 0;              ///< lease id / notify registration id
   std::int64_t expires_at_ns = 0;        ///< lease expiry (write/renew responses)
   bool ok = false;                       ///< generic success flag

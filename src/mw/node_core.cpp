@@ -36,14 +36,9 @@ NodeCore::NodeCore(space::SpaceEngine& space, ServerTransport& transport,
       });
 }
 
-sim::Time NodeCore::duration_of(std::int64_t ns) {
-  if (ns == INT64_MAX) return space::kLeaseForever;
-  return sim::Time::ns(ns);
-}
-
 std::optional<sim::Time> NodeCore::remaining_lease(
     std::int64_t duration_ns, std::int64_t created_at_ns) const {
-  sim::Time lease_duration = duration_of(duration_ns);
+  sim::Time lease_duration = sim::Time::ns(duration_ns);
   if (lease_duration != space::kLeaseForever) {
     const sim::Time in_transit =
         space_->simulator().now() - sim::Time::ns(created_at_ns);
@@ -117,8 +112,8 @@ std::size_t NodeCore::promote() {
   std::size_t applied = 0;
   for (ReplRecord& record : repl_buffer_) {
     if (!record.take) {
-      const space::Lease lease =
-          space_->write(std::move(record.tuple), duration_of(record.duration_ns));
+      const space::Lease lease = space_->write(
+          std::move(record.tuple), sim::Time::ns(record.duration_ns));
       ticket_of_id_[lease.id] = record.ticket;
       id_of_ticket_[record.ticket] = lease.id;
       ++applied;
@@ -476,9 +471,7 @@ void NodeCore::handle_write(SessionId session, Message& request) {
       space_->write(std::move(*request.tuple), *lease_duration, request.txn);
   response.ok = true;
   response.handle = lease.id;
-  response.expires_at_ns = lease.expires_at == sim::Time::max()
-                               ? INT64_MAX
-                               : lease.expires_at.count_ns();
+  response.expires_at_ns = lease.expires_at.count_ns();
   if (ticketed) {
     const std::uint64_t ticket = draw_ticket();
     record_write(lease.id, recorded, ticket);
@@ -487,9 +480,7 @@ void NodeCore::handle_write(SessionId session, Message& request) {
       frame.type = MsgType::kReplicateWriteRequest;
       frame.tuple = std::move(recorded);
       frame.handle = ticket;
-      frame.duration_ns = *lease_duration == space::kLeaseForever
-                              ? INT64_MAX
-                              : lease_duration->count_ns();
+      frame.duration_ns = lease_duration->count_ns();
       replicate(std::move(frame),
                 [this, session, resp = std::move(response)]() mutable {
                   respond(session, std::move(resp));
@@ -516,7 +507,7 @@ void NodeCore::handle_match(SessionId session, Message& request, bool take) {
   } else {
     ++stats_.wildcard_ops;
   }
-  const sim::Time timeout = duration_of(request.duration_ns);
+  const sim::Time timeout = sim::Time::ns(request.duration_ns);
   // An empty blocking result means the caller's deadline passed while
   // parked — typed DEADLINE_EXCEEDED. An empty if-exists probe (zero
   // timeout) is a clean miss: OK with no tuple.
@@ -708,7 +699,7 @@ void NodeCore::handle_txn(SessionId session, const Message& request) {
       response.type = MsgType::kTxnBeginResponse;
       response.ok = true;
       response.handle =
-          space_->begin_transaction(duration_of(request.duration_ns));
+          space_->begin_transaction(sim::Time::ns(request.duration_ns));
       break;
     case MsgType::kTxnCommitRequest:
       response.type = MsgType::kTxnResolveResponse;
@@ -752,7 +743,7 @@ void NodeCore::handle_notify(SessionId session, const Message& request) {
   // through a slot the callback reads.
   auto reg_slot = std::make_shared<std::uint64_t>(0);
   const std::uint64_t registration = space_->notify(
-      *request.tmpl, duration_of(request.duration_ns),
+      *request.tmpl, sim::Time::ns(request.duration_ns),
       [this, session, reg_slot](const space::Tuple& tuple) {
         Message event;
         event.type = MsgType::kEvent;
@@ -858,13 +849,11 @@ void NodeCore::handle_renew(SessionId session, const Message& request) {
   response.type = MsgType::kRenewResponse;
   response.request_id = request.request_id;
   const std::optional<space::Lease> lease =
-      space_->renew(request.handle, duration_of(request.duration_ns));
+      space_->renew(request.handle, sim::Time::ns(request.duration_ns));
   response.ok = lease.has_value();
   if (lease) {
     response.handle = lease->id;
-    response.expires_at_ns = lease->expires_at == sim::Time::max()
-                                 ? INT64_MAX
-                                 : lease->expires_at.count_ns();
+    response.expires_at_ns = lease->expires_at.count_ns();
   } else {
     // Already expired, taken, or never existed: renewal has nothing to
     // extend.

@@ -271,8 +271,6 @@ class NodeCore {
   std::optional<sim::Time> remaining_lease(std::int64_t duration_ns,
                                            std::int64_t created_at_ns) const;
 
-  static sim::Time duration_of(std::int64_t ns);
-
   space::SpaceEngine* space_;
   ServerTransport* transport_;
   const Codec* codec_;

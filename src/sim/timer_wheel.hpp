@@ -19,8 +19,8 @@
 //
 // Single-threaded by design, like everything on the sim kernel: the
 // deterministic engine drives one wheel from the event loop, and each
-// ThreadedSpaceEngine shard worker owns a private wheel keyed in
-// steady-clock ns. advance() is not re-entrant; fire callbacks may call
+// ThreadedSpaceEngine shard has a wheel keyed in steady-clock ns that is
+// only touched under the shard's mutex. advance() is not re-entrant; fire callbacks may call
 // arm()/cancel() but not advance().
 #pragma once
 

@@ -74,7 +74,7 @@ enum class ExecutionMode : std::uint8_t {
   /// Everything runs on the single deterministic DES thread — the
   /// bit-exact oracle behind every sim, bench table and differential test.
   kDeterministic,
-  /// One real worker thread per shard with actor-style ownership
+  /// Real threads: each caller runs its op under the shard's mutex
   /// (ThreadedSpaceEngine, threaded.hpp). SpaceEngine itself rejects this
   /// mode: the deterministic engine stays the authoritative semantics.
   kThreaded,
@@ -94,13 +94,6 @@ struct SpaceConfig {
   /// Which runtime executes operations. SpaceEngine accepts only
   /// kDeterministic; kThreaded configs are consumed by ThreadedSpaceEngine.
   ExecutionMode execution_mode = ExecutionMode::kDeterministic;
-
-  /// Bounded per-shard request-inbox capacity (threaded mode only):
-  /// producers routing named ops to a shard block while its inbox ring is
-  /// full — the engine's backpressure. Rounded up to the next power of two
-  /// (the inbox is an MPSC ring, util/mpsc_ring.hpp). Ignored in
-  /// deterministic mode.
-  std::size_t inbox_capacity = 256;
 };
 
 class SpaceEngine {

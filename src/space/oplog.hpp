@@ -16,14 +16,14 @@
 // waiter before it timed out then shows up as a result mismatch.
 //
 // Finite leases replay the same way (expiry-at-ticket): the threaded
-// runtime logs a kLeaseExpire record at the ticket its shard worker drew
-// when it reclaimed the entry — visibility in threaded mode is presence,
-// no deadline checks. A replay pre-pass walks the records in ticket order
-// and rewrites every arming (write or successful renew) to the duration
-// ns(expiry_ticket - arming_ticket), so the oracle's wheel reclaims the
-// entry at exactly the recorded linearization point; armings with no
-// matching expiry (taken, cancelled, renewed away, or still live at the
-// end) replay as forever.
+// runtime logs a kLeaseExpire record at the ticket drawn under the shard
+// lock when the entry was reclaimed — visibility in threaded mode is
+// presence, no deadline checks. A replay pre-pass walks the records in
+// ticket order and rewrites every arming (write or successful renew) to
+// the duration ns(expiry_ticket - arming_ticket), so the oracle's wheel
+// reclaims the entry at exactly the recorded linearization point; armings
+// with no matching expiry (taken, cancelled, renewed away, or still live
+// at the end) replay as forever.
 //
 // Every later scaling PR (federation, leases, notify fan-out) regresses
 // against this harness: record in the new runtime, replay through the

@@ -10,100 +10,18 @@
 
 namespace tb::space {
 
-// A request cell is a pooled slab slot (SlabPool, mpsc_ring.hpp): sync ops
-// release it on return, drains release async cells after applying. The
-// applier writes the result fields, then publishes a phase bit with an
-// acq_rel fetch_or — a spinning client sees the bit with one acquire load
-// and never touches the mutex; a client that gave up spinning sets
-// kSleeping under `mu` before waiting, so the applier's fetch_or tells it
-// (and only then) to take the lock and notify. A blocking op that missed
-// gets kParked instead of kDone — the completion then arrives from
-// whichever path resolves the waiter (a serving publish, a timeout
-// cancellation, or shutdown). Slots are recycled, never destroyed, so an
-// applier straggling into notify on a just-released cell is a benign
-// spurious wakeup for the slot's next occupant.
-struct ThreadedSpaceEngine::Request {
-  enum class Kind : std::uint8_t {
-    kWrite,
-    kReadIfExists,
-    kTakeIfExists,
-    kReadAll,
-    kTakeAll,
-    kBlockingRead,
-    kBlockingTake,
-    kCancelWaiter,
-    kStall,
-  };
-
-  static constexpr std::uint32_t kDone = 1;      ///< result fields final
-  static constexpr std::uint32_t kParked = 2;    ///< waiter registered
-  static constexpr std::uint32_t kSleeping = 4;  ///< client in cv wait
-
-  Kind kind = Kind::kWrite;
-  bool async = false;  ///< pool-owned; the drain releases after applying
-  Tuple tuple;
-  Template tmpl;
-  std::uint64_t txn = kNoTxn;
-  TxnView* txn_state = nullptr;
-  std::size_t max = 0;
-  std::uint64_t target = 0;  ///< kCancelWaiter: waiter ticket to remove
-  sim::Time lease = kLeaseForever;  ///< kWrite: requested lease duration
-
-  std::atomic<std::uint32_t> phase{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  util::SlabPool<Request>::Handle pool_handle = 0;
-  std::uint64_t ticket = 0;
-  sim::Time expires_at = sim::Time::max();  ///< kWrite result: steady ns
-  std::optional<Tuple> result;
-  std::vector<Tuple> results;
-
-  /// Recycle reset. tuple/tmpl keep their buffers (capacity reuse is the
-  /// point of the pool); producers overwrite what their op reads.
-  void reset() {
-    kind = Kind::kWrite;
-    async = false;
-    txn = kNoTxn;
-    txn_state = nullptr;
-    max = 0;
-    target = 0;
-    lease = kLeaseForever;
-    phase.store(0, std::memory_order_relaxed);
-    ticket = 0;
-    expires_at = sim::Time::max();
-    result.reset();
-    results.clear();
-  }
-
-  /// Timed park for kDone (blocking-op timeout leg). Returns false when
-  /// the timeout elapsed with the bit still clear.
-  bool wait_done_for(std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lk(mu);
-    phase.fetch_or(kSleeping, std::memory_order_acq_rel);
-    const bool done = cv.wait_for(lk, timeout, [this] {
-      return (phase.load(std::memory_order_acquire) & kDone) != 0;
-    });
-    phase.fetch_and(~kSleeping, std::memory_order_relaxed);
-    return done;
-  }
-};
-
 namespace {
 
 using Kind = OpRecord::Kind;
 
-/// Combine/completion spin budget before parking. Each failed probe
-/// yields, so on a single hardware thread the budget mostly measures how
-/// many scheduler handoffs we tolerate before sleeping for real.
+/// try_lock probes before lock_shard() blocks. Each failed probe yields, so
+/// a shard held for one short apply is usually free again within the
+/// budget and the caller never sleeps in the kernel; without the spin the
+/// contended p99 more than doubles (DESIGN.md §15).
 constexpr int kSpinIters = 64;
 
-/// Park slice for waits that also need to *drive* progress (ring space,
-/// ownership words): bounded so a stale racy check costs latency, never a
-/// hang — the parked thread re-probes every slice.
-constexpr std::chrono::milliseconds kParkSlice{1};
-
-/// Absolute expiry for a finite blocking-op timeout, saturating instead of
-/// overflowing on huge (but not kBlockForever) values.
+/// Absolute expiry for a blocking-op timeout, saturating instead of
+/// overflowing on huge values (kBlockForever maps to time_point::max()).
 std::chrono::steady_clock::time_point deadline_after(
     std::chrono::nanoseconds timeout) {
   const auto now = std::chrono::steady_clock::now();
@@ -111,16 +29,6 @@ std::chrono::steady_clock::time_point deadline_after(
     return std::chrono::steady_clock::time_point::max();
   }
   return now + timeout;
-}
-
-/// Time left until `deadline`, floored at zero (a zero-duration
-/// wait_done_for checks the phase once and falls straight through to the
-/// cancellation leg).
-std::chrono::nanoseconds remaining_until(
-    std::chrono::steady_clock::time_point deadline) {
-  const auto now = std::chrono::steady_clock::now();
-  if (deadline <= now) return std::chrono::nanoseconds::zero();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - now);
 }
 
 void accumulate(SpaceEngine::Stats& into, const SpaceEngine::Stats& from) {
@@ -139,249 +47,119 @@ void accumulate(SpaceEngine::Stats& into, const SpaceEngine::Stats& from) {
 
 }  // namespace
 
+void ThreadedSpaceEngine::Slot::fill(std::optional<Tuple> value) {
+  std::lock_guard<std::mutex> lk(mu);
+  result = std::move(value);
+  done = true;
+  // Under mu: the caller may destroy the slot as soon as it sees `done`,
+  // so the notify must not come after our unlock.
+  cv.notify_one();
+}
+
+bool ThreadedSpaceEngine::Slot::wait_until(
+    std::chrono::steady_clock::time_point deadline) {
+  std::unique_lock<std::mutex> lk(mu);
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    cv.wait(lk, [this] { return done; });
+    return true;
+  }
+  return cv.wait_until(lk, deadline, [this] { return done; });
+}
+
 ThreadedSpaceEngine::ThreadedSpaceEngine(SpaceConfig config, OpLog* log)
-    : config_(config),
-      log_(log),
-      pool_(std::make_unique<util::SlabPool<Request>>()) {
+    : config_(config), log_(log) {
   TB_REQUIRE_MSG(config_.execution_mode == ExecutionMode::kThreaded,
                  "deterministic configs belong to SpaceEngine (engine.hpp)");
   if (config_.shard_count < 1) config_.shard_count = 1;
-  if (config_.inbox_capacity < 1) config_.inbox_capacity = 1;
   shards_.reserve(static_cast<std::size_t>(config_.shard_count));
   for (int s = 0; s < config_.shard_count; ++s) {
     shards_.push_back(std::make_unique<Shard>(config_));
     stores_.push_back(&shards_.back()->store);
   }
   for (int s = 0; s < config_.shard_count; ++s) {
-    shards_[static_cast<std::size_t>(s)]->worker =
-        std::thread([this, s] { worker_loop(s); });
+    shard(s).reaper = std::thread([this, s] { reaper_loop(s); });
   }
 }
 
 ThreadedSpaceEngine::~ThreadedSpaceEngine() { shutdown(); }
 
-// --- request cells ----------------------------------------------------------
+// --- locking ----------------------------------------------------------------
 
-ThreadedSpaceEngine::Request* ThreadedSpaceEngine::acquire_request() {
-  util::SlabPool<Request>::Handle handle = 0;
-  Request* req = pool_->acquire(&handle);
-  req->reset();
-  req->pool_handle = handle;
-  return req;
-}
-
-void ThreadedSpaceEngine::release_request(Request* req) {
-  pool_->release(req->pool_handle);
-}
-
-void ThreadedSpaceEngine::signal_phase(Request& req, std::uint32_t bit) {
-  const std::uint32_t prev =
-      req.phase.fetch_or(bit, std::memory_order_acq_rel);
-  if (prev & Request::kSleeping) {
-    // Notify under the lock: the sleeper may release the cell the instant
-    // it observes the bit, so our last touch must be the unlock.
-    std::lock_guard<std::mutex> lk(req.mu);
-    req.cv.notify_all();
-  }
-}
-
-void ThreadedSpaceEngine::wait_phase(int shard_idx, Request& req,
-                                     std::uint32_t bits) {
+std::unique_lock<std::mutex> ThreadedSpaceEngine::lock_shard(Shard& sh) {
   for (int spin = 0; spin < kSpinIters; ++spin) {
-    if (req.phase.load(std::memory_order_acquire) & bits) return;
-    // Flat combining: don't wait for the worker — drain the shard
-    // ourselves (our own request included) whenever the word is free.
-    if (shard_idx < 0 || !try_combine(shard_idx)) {
-      std::this_thread::yield();
+    if (sh.mu.try_lock()) {
+      return std::unique_lock<std::mutex>(sh.mu, std::adopt_lock);
     }
+    std::this_thread::yield();
   }
-  std::unique_lock<std::mutex> lk(req.mu);
-  req.phase.fetch_or(Request::kSleeping, std::memory_order_acq_rel);
-  while ((req.phase.load(std::memory_order_acquire) & bits) == 0) {
-    if (shard_idx < 0) {
-      // Pure completion wait: the fetch_or/kSleeping protocol makes the
-      // wakeup loss-proof, so an unbounded wait is safe.
-      req.cv.wait(lk);
-      continue;
-    }
-    // Waiting on our own enqueued request: park in bounded slices and keep
-    // re-probing the shard, so even a missed drain hand-off only costs a
-    // slice before we drain the ring ourselves.
-    req.cv.wait_for(lk, kParkSlice);
-    if (req.phase.load(std::memory_order_acquire) & bits) break;
-    lk.unlock();
-    try_combine(shard_idx);
-    lk.lock();
-  }
-  req.phase.fetch_and(~Request::kSleeping, std::memory_order_relaxed);
+  return std::unique_lock<std::mutex>(sh.mu);
 }
 
-void ThreadedSpaceEngine::push_request(int shard_idx, Request* req,
-                                       bool allow_combine) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  if (!sh.ring.try_push(req)) {
-    // Full ring: backpressure. Sync producers make space themselves by
-    // draining; async producers must never drain on the calling thread
-    // (write_async contract), so they wake the worker and park.
-    for (int spin = 0;; ++spin) {
-      if (allow_combine && try_combine(shard_idx)) {
-        if (sh.ring.try_push(req)) break;
-        continue;
-      }
-      if (spin < kSpinIters) {
-        std::this_thread::yield();
-        if (sh.ring.try_push(req)) break;
-        continue;
-      }
-      std::unique_lock<std::mutex> lk(sh.park_mu);
-      sh.park_waiters.fetch_add(1, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      bool pushed = sh.ring.try_push(req);
-      if (!pushed) {
-        lk.unlock();
-        wake_worker(sh);
-        lk.lock();
-        sh.park_cv.wait_for(lk, kParkSlice);
-        pushed = sh.ring.try_push(req);
-      }
-      sh.park_waiters.fetch_sub(1, std::memory_order_relaxed);
-      if (pushed) break;
-    }
-  }
-  // Peak gauge: a CAS-max so concurrent producers never lose a peak
-  // (non-atomic read-then-store dropped maxima). Floor 1: at the push's
-  // linearization instant the ring held at least our element, even if the
-  // consumer pops it before the racy size estimate runs. Cap at capacity:
-  // the estimate reads head and tail unordered, so a fresh tail against a
-  // stale head can overshoot what the bounded ring can actually hold.
-  const std::size_t depth = std::min(
-      std::max<std::size_t>(sh.ring.approx_size(), 1), sh.ring.capacity());
-  std::size_t prev = sh.inbox_peak.load(std::memory_order_relaxed);
-  while (depth > prev && !sh.inbox_peak.compare_exchange_weak(
-                             prev, depth, std::memory_order_relaxed)) {
-  }
-  if (!allow_combine) {
-    // Async: nobody spins for this request, so Dekker-check the worker
-    // (store-fence-load against its store-fence-load in the sleep path).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    wake_worker(sh);
-  }
+std::unique_lock<std::mutex> ThreadedSpaceEngine::enter_shard(int shard_idx) {
+  Shard& sh = shard(shard_idx);
+  std::unique_lock<std::mutex> lk = lock_shard(sh);
+  sh.ops_applied.fetch_add(1, std::memory_order_relaxed);
+  // Due lease timers are reclaimed before the op applies: the expiry draws
+  // its ticket first, as a hardware timer interrupt would.
+  if (sh.wheel.armed() > 0) service_shard_wheel(shard_idx);
+  return lk;
 }
 
-// --- ownership / drain core -------------------------------------------------
-
-void ThreadedSpaceEngine::wake_worker(Shard& sh) {
-  if (!sh.worker_asleep.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lk(sh.park_mu);
-  sh.park_cv.notify_all();
+void ThreadedSpaceEngine::barrier_acquire() {
+  barrier_mu_.lock();
+  for (auto& sh : shards_) lock_shard(*sh).release();
+  barriers_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ThreadedSpaceEngine::release_own(Shard& sh) {
-  const std::int64_t prev_next =
-      sh.wheel_next.load(std::memory_order_relaxed);
-  const std::optional<std::int64_t> next = sh.wheel.next_deadline();
-  const std::int64_t wn = next.has_value() ? *next : -1;
-  // Publish the wheel horizon before the word: the next owner (or the
-  // sleeping worker planning its wait) reads it without owning the wheel.
-  sh.wheel_next.store(wn, std::memory_order_relaxed);
-  sh.owner.store(0, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sh.park_waiters.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard<std::mutex> lk(sh.park_mu);
-    sh.park_cv.notify_all();
+void ThreadedSpaceEngine::barrier_release() {
+  for (auto& sh : shards_) sh->mu.unlock();
+  barrier_mu_.unlock();
+}
+
+template <typename Op>
+auto ThreadedSpaceEngine::exclusive(const Template& tmpl, Op&& op) {
+  if (tmpl.name.has_value()) {
+    const int shard_idx = named_shard(tmpl);
+    const std::unique_lock<std::mutex> lk = enter_shard(shard_idx);
+    return op(shard(shard_idx).stats);
   }
-  // Backlog we didn't finish (handoff interrupt, or a push that landed
-  // after the final empty pop) or a deadline now earlier than the one the
-  // worker planned its sleep around: the worker takes over.
-  if (!sh.ring.approx_empty() ||
-      (wn >= 0 && (prev_next < 0 || wn < prev_next))) {
-    wake_worker(sh);
-  }
+  barrier_acquire();
+  struct Release {
+    ThreadedSpaceEngine* engine;
+    ~Release() { engine->barrier_release(); }
+  } release{this};
+  return op(barrier_stats_);
 }
 
-std::size_t ThreadedSpaceEngine::drain(int shard_idx, FireBatch* fire) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  // Due lease timers are reclaimed before queued work: the expiry draws
-  // its ticket ahead of requests that arrived while it was overdue,
-  // matching what a hardware timer interrupt would do.
-  service_shard_wheel(shard_idx);
-  std::size_t applied = 0;
-  Request* req = nullptr;
-  // Batch-drain: every queued request applies under this one ownership
-  // acquisition. A coordinator's handoff flag is the drain boundary — the
-  // sequence point wildcard ops snapshot at.
-  while (!sh.handoff_req.load(std::memory_order_acquire) &&
-         sh.ring.try_pop(req)) {
-    apply(shard_idx, *req, fire);
-    ++applied;
-  }
-  return applied;
-}
+// --- leases -----------------------------------------------------------------
 
-bool ThreadedSpaceEngine::try_combine(int shard_idx) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  if (sh.handoff_req.load(std::memory_order_acquire)) return false;
-  if (!try_own(sh)) return false;
-  FireBatch fire;
-  drain(shard_idx, &fire);
-  release_own(sh);
-  fire_collected(std::move(fire));
-  return true;
-}
-
-void ThreadedSpaceEngine::worker_loop(int shard_idx) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  for (;;) {
-    if (sh.stop.load(std::memory_order_acquire)) {
-      // Exit only once the ring is drained (trailing async writes must
-      // apply). A combiner/coordinator holding the word drains or returns
-      // it; shutdown guarantees no new pushes.
-      if (!sh.handoff_req.load(std::memory_order_acquire) && try_own(sh)) {
-        FireBatch fire;
-        drain(shard_idx, &fire);
-        const bool empty = sh.ring.approx_empty();
-        release_own(sh);
-        fire_collected(std::move(fire));
-        if (empty) return;
-      } else if (sh.ring.approx_empty()) {
-        return;
-      } else {
-        std::this_thread::yield();
-      }
-      continue;
-    }
-
-    if (!sh.handoff_req.load(std::memory_order_acquire) && try_own(sh)) {
-      FireBatch fire;
-      const std::size_t applied = drain(shard_idx, &fire);
-      const bool backlog = !sh.ring.approx_empty();
-      release_own(sh);
-      fire_collected(std::move(fire));
-      if (applied > 0 || backlog) continue;
-    }
-
-    // Idle (or the shard is owned elsewhere — its owner drains, and
-    // release_own wakes us if anything is left). Dekker sleep: advertise,
-    // fence, re-check every wake condition, then wait bounded by the
-    // published wheel horizon.
-    std::unique_lock<std::mutex> lk(sh.park_mu);
-    sh.worker_asleep.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t wn = sh.wheel_next.load(std::memory_order_relaxed);
-    const bool handoff = sh.handoff_req.load(std::memory_order_relaxed);
-    if (sh.stop.load(std::memory_order_relaxed) ||
-        (!handoff && !sh.ring.approx_empty()) ||
-        (!handoff && wn >= 0 && wn <= steady_now_ns())) {
-      sh.worker_asleep.store(false, std::memory_order_relaxed);
-      continue;
-    }
-    if (wn >= 0) {
-      sh.park_cv.wait_until(lk, epoch_ + std::chrono::nanoseconds(wn));
+void ThreadedSpaceEngine::reaper_loop(int shard_idx) {
+  Shard& sh = shard(shard_idx);
+  std::unique_lock<std::mutex> lk = lock_shard(sh);
+  while (!sh.stop) {
+    if (sh.wheel.armed() > 0) service_shard_wheel(shard_idx);
+    // next_deadline() is a lower bound: waking early only cascades the
+    // wheel one level and sleeps again.
+    const std::optional<std::int64_t> next = sh.wheel.next_deadline();
+    sh.reaper_deadline = next.value_or(INT64_MAX);
+    if (next.has_value()) {
+      sh.reaper_cv.wait_until(lk, epoch_ + std::chrono::nanoseconds(*next));
     } else {
-      sh.park_cv.wait(lk);
+      sh.reaper_cv.wait(lk);
     }
-    sh.worker_asleep.store(false, std::memory_order_relaxed);
   }
+}
+
+sim::TimerWheel::TimerId ThreadedSpaceEngine::arm_lease(Shard& sh,
+                                                        sim::Time expires_at,
+                                                        std::uint64_t id) {
+  if (expires_at == sim::Time::max()) return 0;
+  const std::int64_t at = expires_at.count_ns();
+  if (at < sh.reaper_deadline) {
+    sh.reaper_deadline = at;  // the reaper re-plans from the wheel on wake
+    sh.reaper_cv.notify_one();
+  }
+  return sh.wheel.arm(at, id);
 }
 
 std::int64_t ThreadedSpaceEngine::steady_now_ns() const {
@@ -391,7 +169,7 @@ std::int64_t ThreadedSpaceEngine::steady_now_ns() const {
 }
 
 void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
+  Shard& sh = shard(shard_idx);
   // Collect first: erase_entry cancels the (already freed) wheel node,
   // which is a stale-id no-op, and must not run inside advance().
   std::vector<std::uint64_t> due;
@@ -418,110 +196,42 @@ void ThreadedSpaceEngine::service_shard_wheel(int shard_idx) {
   }
 }
 
-void ThreadedSpaceEngine::apply(int shard_idx, Request& req,
-                                FireBatch* fire) {
-  shards_[static_cast<std::size_t>(shard_idx)]->ops_applied.fetch_add(
-      1, std::memory_order_relaxed);
-  switch (req.kind) {
-    case Request::Kind::kWrite:
-      apply_write(shard_idx, req, fire);
-      return;
-    case Request::Kind::kReadIfExists:
-      apply_match(shard_idx, req, /*take=*/false);
-      return;
-    case Request::Kind::kTakeIfExists:
-      apply_match(shard_idx, req, /*take=*/true);
-      return;
-    case Request::Kind::kReadAll:
-      apply_bulk(shard_idx, req, /*take=*/false);
-      return;
-    case Request::Kind::kTakeAll:
-      apply_bulk(shard_idx, req, /*take=*/true);
-      return;
-    case Request::Kind::kBlockingRead:
-      apply_blocking(shard_idx, req, /*take=*/false);
-      return;
-    case Request::Kind::kBlockingTake:
-      apply_blocking(shard_idx, req, /*take=*/true);
-      return;
-    case Request::Kind::kCancelWaiter:
-      apply_cancel_waiter(shard_idx, req);
-      return;
-    case Request::Kind::kStall: {
-      // Test hook: the drainer (the worker — async requests are pushed
-      // with combining disabled on the producer side, and stall tests
-      // issue no concurrent sync ops on the shard) blocks holding the
-      // ownership word, so the ring backs up behind it.
-      std::unique_lock<std::mutex> lk(stall_mu_);
-      stall_cv_.wait(lk, [this] { return !stalled_; });
-      lk.unlock();
-      release_request(&req);
-      return;
-    }
-  }
-}
-
 // --- write ------------------------------------------------------------------
 
-void ThreadedSpaceEngine::apply_write(int shard_idx, Request& req,
-                                      FireBatch* fire) {
-  const bool async = req.async;
-  Tuple tuple = std::move(req.tuple);
-  std::uint64_t id = 0;
-  // The deadline counts from the linearization point (the apply), not from
-  // the client's enqueue — transit through a backlogged inbox eats into
-  // nothing; the lease starts when the write becomes visible.
+Lease ThreadedSpaceEngine::apply_write(int shard_idx, Tuple tuple,
+                                       sim::Time lease, FireBatch* fire) {
+  // The deadline counts from the linearization point, not from call entry:
+  // the lease starts when the write becomes visible.
   const sim::Time expires_at =
-      req.lease == kLeaseForever
-          ? sim::Time::max()
-          : sim::Time::ns(steady_now_ns()) + req.lease;
-
-  if (cross_possible()) {
-    // Slow path: wildcard waiters or notify registrations may exist, so the
-    // whole linearization (ticket, notify collection, waiter merge) runs
-    // under cross_mu_ — interacting publishes serialize in ticket order.
-    std::lock_guard<std::mutex> cl(cross_mu_);
-    id = next_ticket();
-    collect_notifications(tuple, fire);
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = id;
-      rec.kind = Kind::kWrite;
-      rec.tuple = tuple;
-      log_->append(rec);
-    }
-    serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/true,
-                    expires_at);
-  } else {
-    // Fast path: no cross-shard state can appear mid-apply (registrations
-    // run under the all-shard acquisition), so this write commutes with
-    // everything it races and a racy ticket is a valid linearization point.
-    id = next_ticket();
-    if (log_ != nullptr) {
-      OpRecord rec;
-      rec.ticket = id;
-      rec.kind = Kind::kWrite;
-      rec.tuple = tuple;
-      log_->append(rec);
-    }
-    serve_and_store(shard_idx, id, std::move(tuple), /*cross_locked=*/false,
-                    expires_at);
+      lease == kLeaseForever ? sim::Time::max()
+                             : sim::Time::ns(steady_now_ns()) + lease;
+  // Slow path: wildcard waiters or notify registrations may exist, so the
+  // whole linearization (ticket, notify collection, waiter merge) runs
+  // under cross_mu_ — interacting publishes serialize in ticket order.
+  // Fast path: no cross-shard state can appear mid-apply (registrations
+  // run under the all-shard acquisition), so this write commutes with
+  // everything it races and a racy ticket is a valid linearization point.
+  const bool cross_locked = cross_possible();
+  std::unique_lock<std::mutex> cl(cross_mu_, std::defer_lock);
+  if (cross_locked) cl.lock();
+  const std::uint64_t id = next_ticket();
+  if (cross_locked) collect_notifications(tuple, fire);
+  if (log_ != nullptr) {
+    OpRecord rec;
+    rec.ticket = id;
+    rec.kind = Kind::kWrite;
+    rec.tuple = tuple;
+    log_->append(rec);
   }
-  ++shards_[static_cast<std::size_t>(shard_idx)]->stats.writes;
-
-  if (async) {
-    release_request(&req);
-  } else {
-    req.ticket = id;
-    req.expires_at = expires_at;
-    signal_phase(req, Request::kDone);
-  }
+  serve_and_store(shard_idx, id, std::move(tuple), cross_locked, expires_at);
+  ++shard(shard_idx).stats.writes;
+  return Lease{id, expires_at};
 }
 
 void ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
                                           Tuple tuple, bool cross_locked,
                                           sim::Time expires_at) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
+  Shard& sh = shard(shard_idx);
   // Same registration-order rule as the deterministic publish(); the
   // wildcard queue is only visible under cross_mu_.
   const bool consumed = serve_waiters(
@@ -541,9 +251,7 @@ void ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
         }
       });
   if (consumed) return;
-  const sim::TimerWheel::TimerId timer =
-      expires_at == sim::Time::max() ? 0
-                                     : sh.wheel.arm(expires_at.count_ns(), id);
+  const sim::TimerWheel::TimerId timer = arm_lease(sh, expires_at, id);
   const std::uint64_t key = type_key(tuple.name, tuple.arity());
   sh.store.insert(id, key, std::move(tuple), expires_at, timer);
   entry_count_.fetch_add(1, std::memory_order_relaxed);
@@ -551,7 +259,7 @@ void ThreadedSpaceEngine::serve_and_store(int shard_idx, std::uint64_t id,
 }
 
 void ThreadedSpaceEngine::erase_entry(EntryRef ref) {
-  Shard& sh = *shards_[static_cast<std::size_t>(ref.shard)];
+  Shard& sh = shard(ref.shard);
   sh.wheel.cancel(sh.store.erase(ref.it));  // stale-safe after an expiry
   entry_count_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -583,25 +291,15 @@ Lease ThreadedSpaceEngine::write(Tuple tuple, sim::Time lease_duration,
     state->writes.push_back(TxnEntry{ticket, std::move(tuple)});
     return Lease{ticket, sim::Time::max()};
   }
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kWrite;
-  req->tuple = std::move(tuple);
-  req->lease = lease_duration;
-  const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  const Lease out{req->ticket, req->expires_at};
-  release_request(req);
+  const int shard_idx = shard_of(type_key(tuple.name, tuple.arity()));
+  FireBatch fire;
+  Lease out;
+  {
+    const std::unique_lock<std::mutex> lk = enter_shard(shard_idx);
+    out = apply_write(shard_idx, std::move(tuple), lease_duration, &fire);
+  }
+  fire_collected(std::move(fire));
   return out;
-}
-
-void ThreadedSpaceEngine::write_async(Tuple tuple) {
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kWrite;
-  req->async = true;
-  req->tuple = std::move(tuple);
-  const int shard_idx = shard_of(type_key(req->tuple.name, req->tuple.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/false);
 }
 
 // --- matching ---------------------------------------------------------------
@@ -659,167 +357,56 @@ std::vector<Tuple> ThreadedSpaceEngine::match_all(const Template& tmpl,
   return out;
 }
 
-void ThreadedSpaceEngine::apply_match(int shard_idx, Request& req, bool take) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const EntryRef found = find_match(req.tmpl, sh.stats);
-  const std::uint64_t ticket = next_ticket();
-  std::optional<Tuple> result =
-      match_if_exists(found, req.tmpl, req.txn_state, take, sh.stats);
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeIfExists : Kind::kReadIfExists;
-    rec.txn = req.txn;
-    rec.tmpl = req.tmpl;
-    rec.result = result;
-    log_->append(rec);
-  }
-  req.ticket = ticket;
-  req.result = std::move(result);
-  signal_phase(req, Request::kDone);
-}
-
-void ThreadedSpaceEngine::apply_bulk(int shard_idx, Request& req, bool take) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const std::uint64_t ticket = next_ticket();
-  req.results = match_all(req.tmpl, req.max, take, ticket, sh.stats);
-  req.ticket = ticket;
-  signal_phase(req, Request::kDone);
-}
-
 std::optional<Tuple> ThreadedSpaceEngine::read_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  return submit_if_exists(tmpl, txn, /*take=*/false);
+  return if_exists(tmpl, txn, /*take=*/false);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::take_if_exists(const Template& tmpl,
                                                          std::uint64_t txn) {
-  return submit_if_exists(tmpl, txn, /*take=*/true);
+  return if_exists(tmpl, txn, /*take=*/true);
 }
 
-std::optional<Tuple> ThreadedSpaceEngine::submit_if_exists(
-    const Template& tmpl, std::uint64_t txn, bool take) {
-  if (!tmpl.name.has_value()) return wildcard_if_exists(tmpl, txn, take);
-  Request* req = acquire_request();
-  req->kind =
-      take ? Request::Kind::kTakeIfExists : Request::Kind::kReadIfExists;
-  req->tmpl = tmpl;
-  req->txn = txn;
-  req->txn_state = find_txn(txn);
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->result);
-  release_request(req);
-  return out;
+std::optional<Tuple> ThreadedSpaceEngine::if_exists(const Template& tmpl,
+                                                    std::uint64_t txn,
+                                                    bool take) {
+  TxnView* state = find_txn(txn);
+  return exclusive(tmpl, [&](Stats& stats) {
+    const EntryRef found = find_match(tmpl, stats);
+    const std::uint64_t ticket = next_ticket();
+    std::optional<Tuple> result =
+        match_if_exists(found, tmpl, state, take, stats);
+    if (log_ != nullptr) {
+      OpRecord rec;
+      rec.ticket = ticket;
+      rec.kind = take ? Kind::kTakeIfExists : Kind::kReadIfExists;
+      rec.txn = txn;
+      rec.tmpl = tmpl;
+      rec.result = result;
+      log_->append(rec);
+    }
+    return result;
+  });
 }
 
 std::vector<Tuple> ThreadedSpaceEngine::read_all(const Template& tmpl,
                                                  std::size_t max) {
-  return submit_bulk(tmpl, max, /*take=*/false);
+  return bulk(tmpl, max, /*take=*/false);
 }
 
 std::vector<Tuple> ThreadedSpaceEngine::take_all(const Template& tmpl,
                                                  std::size_t max) {
-  return submit_bulk(tmpl, max, /*take=*/true);
+  return bulk(tmpl, max, /*take=*/true);
 }
 
-std::vector<Tuple> ThreadedSpaceEngine::submit_bulk(const Template& tmpl,
-                                                    std::size_t max,
-                                                    bool take) {
-  if (!tmpl.name.has_value()) return wildcard_bulk(tmpl, max, take);
-  Request* req = acquire_request();
-  req->kind = take ? Request::Kind::kTakeAll : Request::Kind::kReadAll;
-  req->tmpl = tmpl;
-  req->max = max;
-  const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-  push_request(shard_idx, req, /*allow_combine=*/true);
-  wait_phase(shard_idx, *req, Request::kDone);
-  auto out = std::move(req->results);
-  release_request(req);
-  return out;
-}
-
-// --- wildcard (all-shard sequence-point) ops --------------------------------
-
-std::optional<Tuple> ThreadedSpaceEngine::wildcard_if_exists(
-    const Template& tmpl, std::uint64_t txn, bool take) {
-  TxnView* state = find_txn(txn);
-  barrier_acquire();
-  const std::uint64_t ticket = next_ticket();
-  const EntryRef found = find_match(tmpl, barrier_stats_);
-  std::optional<Tuple> result =
-      match_if_exists(found, tmpl, state, take, barrier_stats_);
-  if (log_ != nullptr) {
-    OpRecord rec;
-    rec.ticket = ticket;
-    rec.kind = take ? Kind::kTakeIfExists : Kind::kReadIfExists;
-    rec.txn = txn;
-    rec.tmpl = tmpl;
-    rec.result = result;
-    log_->append(rec);
-  }
-  barrier_release();
-  return result;
-}
-
-std::vector<Tuple> ThreadedSpaceEngine::wildcard_bulk(const Template& tmpl,
-                                                      std::size_t max,
-                                                      bool take) {
-  barrier_acquire();
-  std::vector<Tuple> out =
-      match_all(tmpl, max, take, next_ticket(), barrier_stats_);
-  barrier_release();
-  return out;
+std::vector<Tuple> ThreadedSpaceEngine::bulk(const Template& tmpl,
+                                             std::size_t max, bool take) {
+  return exclusive(tmpl, [&](Stats& stats) {
+    return match_all(tmpl, max, take, next_ticket(), stats);
+  });
 }
 
 // --- blocking ops -----------------------------------------------------------
-
-void ThreadedSpaceEngine::apply_blocking(int shard_idx, Request& req,
-                                         bool take) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const EntryRef found = find_match(req.tmpl, sh.stats);
-  const std::uint64_t ticket = next_ticket();
-  if (found) {
-    req.result = match_if_exists(found, req.tmpl, nullptr, take, sh.stats);
-    log_blocked(ticket, take, req.tmpl, req.result);
-    req.ticket = ticket;
-    signal_phase(req, Request::kDone);
-    return;
-  }
-  // Park. The record is written by whoever resolves the waiter: a serving
-  // publish (complete_waiter) or a cancellation (cancel_waiter_record).
-  Waiter waiter;
-  waiter.id = ticket;
-  waiter.tmpl = req.tmpl;
-  waiter.take = take;
-  waiter.req = &req;
-  sh.waiters.push_back(std::move(waiter));
-  blocked_count_.fetch_add(1, std::memory_order_relaxed);
-  note_peak_blocked();
-  req.ticket = ticket;
-  signal_phase(req, Request::kParked);
-}
-
-void ThreadedSpaceEngine::apply_cancel_waiter(int shard_idx, Request& req) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  const auto pos =
-      std::find_if(sh.waiters.begin(), sh.waiters.end(),
-                   [&](const Waiter& w) { return w.id == req.target; });
-  if (pos != sh.waiters.end()) {
-    Waiter waiter = std::move(*pos);
-    sh.waiters.erase(pos);
-    blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-    ++sh.stats.misses;
-    const std::uint64_t cancel_ticket = next_ticket();
-    cancel_waiter_record(waiter, cancel_ticket);
-    waiter.req->result = std::nullopt;
-    signal_phase(*waiter.req, Request::kDone);
-  }
-  // Not found: a publish served the waiter concurrently with the timeout;
-  // the serve's completion wins and the cancel is a no-op.
-  signal_phase(req, Request::kDone);
-}
 
 void ThreadedSpaceEngine::log_blocked(std::uint64_t ticket, bool take,
                                       const Template& tmpl,
@@ -835,8 +422,7 @@ void ThreadedSpaceEngine::log_blocked(std::uint64_t ticket, bool take,
 
 void ThreadedSpaceEngine::complete_waiter(const Waiter& waiter, Tuple tuple) {
   log_blocked(waiter.id, waiter.take, waiter.tmpl, tuple);
-  waiter.req->result = std::move(tuple);
-  signal_phase(*waiter.req, Request::kDone);
+  waiter.slot->fill(std::move(tuple));
 }
 
 void ThreadedSpaceEngine::cancel_waiter_record(const Waiter& waiter,
@@ -851,103 +437,71 @@ void ThreadedSpaceEngine::cancel_waiter_record(const Waiter& waiter,
   log_->append(rec);
 }
 
+bool ThreadedSpaceEngine::remove_waiter(std::list<Waiter>& queue,
+                                        std::uint64_t ticket, Stats& stats) {
+  const auto pos =
+      std::find_if(queue.begin(), queue.end(),
+                   [&](const Waiter& w) { return w.id == ticket; });
+  if (pos == queue.end()) return false;
+  cancel_waiter_record(*pos, next_ticket());
+  queue.erase(pos);
+  blocked_count_.fetch_sub(1, std::memory_order_relaxed);
+  ++stats.misses;
+  return true;
+}
+
 std::optional<Tuple> ThreadedSpaceEngine::blocking_op(
     const Template& tmpl, std::chrono::nanoseconds timeout, bool take) {
-  // The timeout clock starts here: full-ring backpressure, inbox transit
-  // and (for wildcards) the all-shard acquisition all spend the caller's
-  // budget, so take(tmpl, 10ms) behind a backlogged shard cancels as soon
-  // as it parks rather than waiting a further 10ms.
-  const auto deadline = timeout == kBlockForever
-                            ? std::chrono::steady_clock::time_point::max()
-                            : deadline_after(timeout);
-  Request* req = acquire_request();
-  req->kind =
-      take ? Request::Kind::kBlockingTake : Request::Kind::kBlockingRead;
-  req->tmpl = tmpl;
-
-  if (tmpl.name.has_value()) {
-    const int shard_idx = shard_of(type_key(*tmpl.name, tmpl.arity()));
-    push_request(shard_idx, req, /*allow_combine=*/true);
-    wait_phase(shard_idx, *req, Request::kDone | Request::kParked);
-    if ((req->phase.load(std::memory_order_acquire) & Request::kDone) == 0) {
-      // Parked: our waiter is registered (ticket published with kParked).
-      if (timeout == kBlockForever) {
-        wait_phase(-1, *req, Request::kDone);
-      } else if (!req->wait_done_for(remaining_until(deadline))) {
-        // Timed out: ask the shard to cancel. Either the cancel finds the
-        // waiter (completes it with nullopt + a cancel ticket) or a
-        // concurrent publish already served it — wait for whichever
-        // completion lands.
-        Request* cancel = acquire_request();
-        cancel->kind = Request::Kind::kCancelWaiter;
-        cancel->target = req->ticket;
-        push_request(shard_idx, cancel, /*allow_combine=*/true);
-        wait_phase(shard_idx, *cancel, Request::kDone);
-        release_request(cancel);
-        wait_phase(-1, *req, Request::kDone);
-      }
+  // The timeout clock starts here: waiting for the shard lock (or, for
+  // wildcards, every shard lock) spends the caller's budget.
+  const auto deadline = deadline_after(timeout);
+  Slot slot;
+  std::uint64_t ticket = 0;
+  std::optional<Tuple> found_now;
+  const bool parked = exclusive(tmpl, [&](Stats& stats) {
+    ticket = next_ticket();
+    if (const EntryRef found = find_match(tmpl, stats)) {
+      found_now = match_if_exists(found, tmpl, nullptr, take, stats);
+      log_blocked(ticket, take, tmpl, found_now);
+      return false;
     }
-    auto out = std::move(req->result);
-    release_request(req);
-    return out;
-  }
-
-  // Wildcard: registration is an all-shard op (the queue is cross-shard
-  // state every publish must observe), parking/cancellation run under
-  // cross_mu_.
-  barrier_acquire();
-  const std::uint64_t ticket = next_ticket();
-  const EntryRef found = find_match(tmpl, barrier_stats_);
-  if (found) {
-    std::optional<Tuple> result =
-        match_if_exists(found, tmpl, nullptr, take, barrier_stats_);
-    log_blocked(ticket, take, tmpl, result);
-    barrier_release();
-    release_request(req);
-    return result;
-  }
-  {
-    std::lock_guard<std::mutex> cl(cross_mu_);
-    Waiter waiter;
-    waiter.id = ticket;
-    waiter.tmpl = tmpl;
-    waiter.take = take;
-    waiter.req = req;
-    wildcard_waiters_.push_back(std::move(waiter));
-    cross_count_.fetch_add(1);
+    // Park. The record is written by whoever resolves the waiter: a
+    // serving publish (complete_waiter) or a cancellation.
+    Waiter waiter{ticket, tmpl, take, &slot};
+    if (tmpl.name.has_value()) {
+      shard(named_shard(tmpl)).waiters.push_back(std::move(waiter));
+    } else {
+      // The wildcard queue is cross-shard state every publish must observe:
+      // registered under the all-shard acquisition, guarded by cross_mu_.
+      std::lock_guard<std::mutex> cl(cross_mu_);
+      wildcard_waiters_.push_back(std::move(waiter));
+      cross_count_.fetch_add(1);
+    }
     blocked_count_.fetch_add(1, std::memory_order_relaxed);
     note_peak_blocked();
-  }
-  barrier_release();
-
-  if (timeout == kBlockForever) {
-    wait_phase(-1, *req, Request::kDone);
-  } else if (!req->wait_done_for(remaining_until(deadline))) {
-    {
+    return true;
+  });
+  if (!parked) return found_now;
+  if (!slot.wait_until(deadline)) {
+    // Timed out: remove our own waiter under the lock its publishers hold.
+    // Finding it gone means a publish or shutdown filled the slot before
+    // we got the lock; that completion wins. A removed waiter's slot keeps
+    // its nullopt.
+    if (tmpl.name.has_value()) {
+      Shard& sh = shard(named_shard(tmpl));
+      const std::unique_lock<std::mutex> lk = lock_shard(sh);
+      remove_waiter(sh.waiters, ticket, sh.stats);
+    } else {
       std::lock_guard<std::mutex> cl(cross_mu_);
-      const auto pos = std::find_if(
-          wildcard_waiters_.begin(), wildcard_waiters_.end(),
-          [&](const Waiter& w) { return w.id == ticket; });
-      if (pos != wildcard_waiters_.end()) {
-        // Still parked — no publish can be serving it (we hold cross_mu_).
-        // Ticket before the count decrement: a publisher that fast-paths on
-        // the decremented count is ordered after this cancellation.
-        Waiter waiter = std::move(*pos);
-        wildcard_waiters_.erase(pos);
-        const std::uint64_t cancel_ticket = next_ticket();
+      // Cancel ticket before the count decrement: a publisher that
+      // fast-paths on the decremented count is ordered after this
+      // cancellation.
+      if (remove_waiter(wildcard_waiters_, ticket, cross_stats_)) {
         cross_count_.fetch_sub(1);
-        blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-        ++cross_stats_.misses;
-        cancel_waiter_record(waiter, cancel_ticket);
-        waiter.req->result = std::nullopt;
-        signal_phase(*waiter.req, Request::kDone);
       }
     }
-    wait_phase(-1, *req, Request::kDone);
   }
-  auto out = std::move(req->result);
-  release_request(req);
-  return out;
+  return std::move(slot.result);
 }
 
 std::optional<Tuple> ThreadedSpaceEngine::read(
@@ -1088,7 +642,7 @@ void ThreadedSpaceEngine::collect_notifications(const Tuple& tuple,
 void ThreadedSpaceEngine::fire_collected(FireBatch fire) {
   if (fire.empty()) return;
   if (bridge_ != nullptr) {
-    // One bridge post per drain: the whole delivery batch crosses the
+    // One bridge post per op: the whole delivery batch crosses the
     // producer/kernel boundary under a single lock + wakeup.
     std::vector<sim::detail::EventFn> fns;
     fns.reserve(fire.size());
@@ -1168,17 +722,13 @@ std::optional<Lease> ThreadedSpaceEngine::renew(std::uint64_t tuple_id,
   const std::uint64_t ticket = next_ticket();
   std::optional<Lease> out;
   if (const EntryRef found = find_by_id(stores_, tuple_id)) {
-    sim::TimerWheel& wheel =
-        shards_[static_cast<std::size_t>(found.shard)]->wheel;
+    Shard& sh = shard(found.shard);
     ShardStore::Entry& entry = found.it->second;
-    wheel.cancel(entry.expiry_timer);
+    sh.wheel.cancel(entry.expiry_timer);
     entry.expires_at = extension == kLeaseForever
                            ? sim::Time::max()
                            : sim::Time::ns(steady_now_ns()) + extension;
-    entry.expiry_timer =
-        entry.expires_at == sim::Time::max()
-            ? 0
-            : wheel.arm(entry.expires_at.count_ns(), tuple_id);
+    entry.expiry_timer = arm_lease(sh, entry.expires_at, tuple_id);
     ++barrier_stats_.renewals;
     out = Lease{tuple_id, entry.expires_at};
   }
@@ -1213,65 +763,6 @@ bool ThreadedSpaceEngine::cancel(std::uint64_t tuple_id) {
   }
   barrier_release();
   return ok;
-}
-
-// --- all-shard acquisition (sequence points) --------------------------------
-
-void ThreadedSpaceEngine::barrier_acquire() {
-  barrier_mu_.lock();
-  {
-    // After shutdown the workers are joined: barrier_mu_ alone is exclusive
-    // access, which is what lets snapshot()/stats() read the final state.
-    std::lock_guard<std::mutex> lk(shutdown_mu_);
-    if (shut_down_) {
-      barrier_owns_shards_ = false;
-      barriers_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  barrier_owns_shards_ = true;
-  own_all_shards();
-  barriers_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ThreadedSpaceEngine::barrier_release() {
-  if (barrier_owns_shards_) {
-    disown_all_shards();
-    barrier_owns_shards_ = false;
-  }
-  barrier_mu_.unlock();
-}
-
-void ThreadedSpaceEngine::own_all_shards() {
-  // Index-order CAS sweep over the ownership words. handoff_req makes the
-  // current owner yield at its next request boundary (the sequence point)
-  // and stops new combiners/workers from outracing us; on an idle shard
-  // the acquisition is one CAS — no worker wakeup, no rendezvous.
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    sh.handoff_req.store(true, std::memory_order_seq_cst);
-    for (int spin = 0;; ++spin) {
-      if (try_own(sh)) break;
-      if (spin < kSpinIters) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::unique_lock<std::mutex> lk(sh.park_mu);
-      sh.park_waiters.fetch_add(1, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const bool owned = try_own(sh);
-      if (!owned) sh.park_cv.wait_for(lk, kParkSlice);
-      sh.park_waiters.fetch_sub(1, std::memory_order_relaxed);
-      if (owned) break;
-    }
-  }
-}
-
-void ThreadedSpaceEngine::disown_all_shards() {
-  for (auto& shp : shards_) {
-    shp->handoff_req.store(false, std::memory_order_seq_cst);
-    release_own(*shp);
-  }
 }
 
 // --- introspection ----------------------------------------------------------
@@ -1333,17 +824,10 @@ void ThreadedSpaceEngine::note_peak_blocked() {
 
 void ThreadedSpaceEngine::bind_metrics(obs::Registry& registry,
                                        const std::string& prefix) {
-  struct ShardMetrics {
-    obs::Gauge* depth = nullptr;
-    obs::Gauge* peak = nullptr;
-    obs::Counter* applied = nullptr;
-  };
-  std::vector<ShardMetrics> per_shard(shards_.size());
+  std::vector<obs::Counter*> applied(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string p = prefix + ".shard" + std::to_string(s);
-    per_shard[s].depth = &registry.gauge(p + ".inbox_depth");
-    per_shard[s].peak = &registry.gauge(p + ".inbox_peak");
-    per_shard[s].applied = &registry.counter(p + ".ops_applied");
+    applied[s] = &registry.counter(prefix + ".shard" + std::to_string(s) +
+                                   ".ops_applied");
   }
   obs::Gauge& size = registry.gauge(prefix + ".size");
   obs::Gauge& blocked = registry.gauge(prefix + ".blocked");
@@ -1351,28 +835,22 @@ void ThreadedSpaceEngine::bind_metrics(obs::Registry& registry,
   obs::Counter& cross_serves =
       registry.counter(prefix + ".cross_queue_serves");
 
-  // Everything the collector touches is an atomic (the ring's depth is its
-  // racy head/tail estimate), so a metrics snapshot never contends with an
-  // owner — no shard acquisition, no cross_mu_.
+  // Everything the collector touches is an atomic, so a metrics snapshot
+  // never contends with an op — no shard lock, no cross_mu_.
   registry.add_collector([this, &size, &blocked, &barriers, &cross_serves,
-                          per_shard = std::move(per_shard)] {
+                          applied = std::move(applied)] {
     size.set(static_cast<double>(entry_count_.load(std::memory_order_relaxed)));
     blocked.set(
         static_cast<double>(blocked_count_.load(std::memory_order_relaxed)));
     barriers.set(barriers_.load(std::memory_order_relaxed));
     cross_serves.set(cross_serves_.load(std::memory_order_relaxed));
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      per_shard[s].depth->set(
-          static_cast<double>(shards_[s]->ring.approx_size()));
-      per_shard[s].peak->set(static_cast<double>(
-          shards_[s]->inbox_peak.load(std::memory_order_relaxed)));
-      per_shard[s].applied->set(
-          shards_[s]->ops_applied.load(std::memory_order_relaxed));
+      applied[s]->set(shards_[s]->ops_applied.load(std::memory_order_relaxed));
     }
   });
 }
 
-// --- shutdown & test hooks --------------------------------------------------
+// --- shutdown ---------------------------------------------------------------
 
 void ThreadedSpaceEngine::shutdown() {
   {
@@ -1380,63 +858,38 @@ void ThreadedSpaceEngine::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  resume_stalled_shards_for_testing();
   for (auto& sh : shards_) {
-    sh->stop.store(true, std::memory_order_seq_cst);
-    std::lock_guard<std::mutex> lk(sh->park_mu);
-    sh->park_cv.notify_all();
+    {
+      std::lock_guard<std::mutex> lk(sh->mu);
+      sh->stop = true;
+    }
+    sh->reaper_cv.notify_all();
   }
   for (auto& sh : shards_) {
-    if (sh->worker.joinable()) sh->worker.join();
+    if (sh->reaper.joinable()) sh->reaper.join();
   }
-  // Workers are gone: complete every parked blocking op with nullopt,
-  // logged exactly like a timeout so the oracle replay cancels them at the
-  // same instant.
+  // Complete every parked blocking op with nullopt, logged exactly like a
+  // timeout so the oracle replay cancels them at the same instant. Every
+  // shard lock and cross_mu_ are held, the locks a timeout leg removes its
+  // waiter under: a take timing out while shutdown runs either removes its
+  // waiter first or finds it already completed here, never both.
   auto cancel_all = [this](std::list<Waiter>& queue, Stats& stats) {
     for (Waiter& waiter : queue) {
       ++stats.misses;
-      const std::uint64_t cancel_ticket = next_ticket();
-      cancel_waiter_record(waiter, cancel_ticket);
+      cancel_waiter_record(waiter, next_ticket());
       blocked_count_.fetch_sub(1, std::memory_order_relaxed);
-      waiter.req->result = std::nullopt;
-      signal_phase(*waiter.req, Request::kDone);
+      waiter.slot->fill(std::nullopt);
     }
     queue.clear();
   };
-  // Joined workers don't make the shard words free-for-all: the timeout
-  // leg of a pre-shutdown blocking op pushes a kCancelWaiter and
-  // flat-combines the shard itself, mutating the same waiter list. Hold
-  // every ownership word (handoff_req backs the straggler off) across the
-  // cancellation; the straggling cancel then serializes behind us and
-  // finds its waiter already completed — a logged no-op, never a double
-  // signal on a recycled request cell.
-  own_all_shards();
-  for (auto& sh : shards_) cancel_all(sh->waiters, sh->stats);
-  disown_all_shards();
+  barrier_acquire();
   {
     std::lock_guard<std::mutex> cl(cross_mu_);
+    for (auto& sh : shards_) cancel_all(sh->waiters, sh->stats);
     cross_count_.fetch_sub(wildcard_waiters_.size());
     cancel_all(wildcard_waiters_, cross_stats_);
   }
-}
-
-void ThreadedSpaceEngine::stall_shard_for_testing(int shard) {
-  {
-    std::lock_guard<std::mutex> lk(stall_mu_);
-    stalled_ = true;
-  }
-  Request* req = acquire_request();
-  req->kind = Request::Kind::kStall;
-  req->async = true;
-  push_request(shard, req, /*allow_combine=*/false);
-}
-
-void ThreadedSpaceEngine::resume_stalled_shards_for_testing() {
-  {
-    std::lock_guard<std::mutex> lk(stall_mu_);
-    stalled_ = false;
-  }
-  stall_cv_.notify_all();
+  barrier_release();
 }
 
 }  // namespace tb::space

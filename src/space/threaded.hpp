@@ -2,54 +2,42 @@
 //
 // Shard state (its ShardStore — the same store the deterministic engine
 // drives, shard_store.hpp — plus the named-waiter queue, stats and timer
-// wheel) is touched only while holding the shard's atomic *ownership word*
-// — a one-word CAS lock that replaces the actor mailbox handshake. Named
-// operations enqueue a pooled request cell into the shard's bounded MPSC
-// ring (util/mpsc_ring.hpp) and then whoever owns the shard batch-drains
-// the ring: normally the *issuing client itself* CASes the free ownership
-// word and drains inline (flat combining — the common named op completes
-// with zero context switches, zero syscalls and zero heap allocations), and
-// the shard's worker thread picks up whatever backlog is left, async
-// writes, and due lease timers. Producers facing a full ring and clients
-// awaiting completion both spin-then-park; every park/wake pair uses a
-// store-fence-check (Dekker) protocol so a wakeup is never lost.
+// wheel) is guarded by one std::mutex per shard, and every operation runs
+// on the calling thread. A named operation takes its shard's mutex through
+// lock_shard() — a short try_lock + yield spin, then a blocking lock — and
+// applies in full under it: due lease timers, ticket, match or store, op-log
+// record. Each shard keeps one thread, its lease reaper, which sleeps on the
+// shard's condition variable until the wheel's next deadline.
 //
 // Wildcard operations, transaction resolution, snapshots and notify
-// registration acquire *all* shard ownership words in index order (the
-// sequence points: an owner yields at its next request boundary when it
-// sees the handoff flag). Workers are neither woken nor parked — on idle
-// shards the acquisition is one CAS each — and the coordinator merges
-// across the shards in id order, the same oldest-first total order the
-// deterministic engine guarantees. Blocking read/take park the calling
-// thread on the request cell until a publish serves it or the timeout
-// sends a cancellation.
+// registration take barrier_mu_ and then every shard mutex in index order
+// (the sequence point), and the coordinator merges across the shards in id
+// order, the same oldest-first total order the deterministic engine
+// guarantees. Blocking read/take park the calling thread on a per-call slot
+// until a publish fills it or the timeout removes the waiter.
 //
 // Linearization contract (the differential-oracle hook, oplog.hpp): every
 // operation consumes one ticket from a global atomic counter *inside* its
-// critical section — while holding the shard ownership (named ops), all
-// ownerships (wildcard/registration ops), or cross_mu_ (interacting
-// publishes) — and tuple / waiter / registration ids are the tickets
-// themselves, so ticket order is exactly the oldest-first total order and
-// replaying the op log in ticket order through the deterministic
-// SpaceEngine must reproduce every result. Batch-draining preserves the
-// contract trivially: a drain applies requests one at a time, and each
-// apply draws its ticket inside the shard's exclusive section. Operations
-// that skip cross_mu_ (the common named fast path) provably commute with
-// everything they raced; registrations that *create* cross-shard state run
-// under the all-shard acquisition so no in-flight publish can miss them.
-// snapshot() draws its own ticket and logs the merged cut (kSnapshot), so
-// the replay verifies mid-run consistency, not just the final state.
+// critical section — while holding the shard mutex (named ops), every shard
+// mutex (wildcard/registration ops), or cross_mu_ (interacting publishes) —
+// and tuple / waiter / registration ids are the tickets themselves, so
+// ticket order is exactly the oldest-first total order and replaying the op
+// log in ticket order through the deterministic SpaceEngine must reproduce
+// every result. Operations that skip cross_mu_ (the common named fast path)
+// provably commute with everything they raced; registrations that *create*
+// cross-shard state run under the all-shard acquisition so no in-flight
+// publish can miss them. snapshot() draws its own ticket and logs the merged
+// cut (kSnapshot), so the replay verifies mid-run consistency, not just the
+// final state.
 //
 // Finite leases (DESIGN.md §12): each shard owns a hierarchical timer
 // wheel keyed in engine-relative steady-clock nanoseconds, serviced at the
-// top of every drain by whoever owns the shard. The reclamation draws its
-// own linearization ticket, logged as kLeaseExpire. Visibility is
-// presence: lookups pass the store the kAllVisible cutoff, because an
-// entry is exactly as visible as its not-yet-reclaimed state — which is
-// what the replay pre-pass reproduces in the oracle (expiry-at-ticket,
-// oplog.hpp). The wheel's next deadline is mirrored into an atomic on
-// ownership release so the (possibly sleeping) worker can bound its idle
-// wait without touching owner-only state. Renew/cancel-by-id are
+// start of every named op on the shard and by the shard's reaper when no op
+// comes. The reclamation draws its own linearization ticket, logged as
+// kLeaseExpire. Visibility is presence: lookups pass the store the
+// kAllVisible cutoff, because an entry is exactly as visible as its
+// not-yet-reclaimed state — which is what the replay pre-pass reproduces in
+// the oracle (expiry-at-ticket, oplog.hpp). Renew/cancel-by-id are
 // all-shard ops: ids do not encode their shard, and a probe-per-shard
 // protocol could falsely linearize a miss (an abort can restore a held
 // entry on an already-probed shard before the final probe's ticket).
@@ -79,7 +67,6 @@
 #include "src/space/oplog.hpp"
 #include "src/space/shard_store.hpp"
 #include "src/space/tuple.hpp"
-#include "src/util/mpsc_ring.hpp"
 
 namespace tb::sim {
 class RealtimeBridge;
@@ -111,8 +98,7 @@ class ThreadedSpaceEngine {
   // --- write ---------------------------------------------------------------
 
   /// Stores a tuple (forever lease). Under a transaction the write stays
-  /// provisional until commit. Callable from any thread; blocks while the
-  /// owning shard's inbox ring is full.
+  /// provisional until commit. Callable from any thread.
   Lease write(Tuple tuple, std::uint64_t txn = kNoTxn);
 
   /// Stores a tuple for `lease_duration` (kLeaseForever = no expiry); the
@@ -120,11 +106,6 @@ class ThreadedSpaceEngine {
   /// writes must use kLeaseForever. The returned Lease's expires_at is in
   /// engine-relative steady-clock ns (sim::Time::max() = forever).
   Lease write(Tuple tuple, sim::Time lease_duration, std::uint64_t txn);
-
-  /// Fire-and-forget write: enqueues and returns without waiting for the
-  /// shard to apply it (still blocks on a full ring — backpressure, not
-  /// unbounded buffering). Never drains the shard on the calling thread.
-  void write_async(Tuple tuple);
 
   // --- non-blocking match --------------------------------------------------
 
@@ -143,8 +124,8 @@ class ThreadedSpaceEngine {
   // --- blocking match (parks the calling thread) ---------------------------
 
   /// Completes with a match now or when one is written before `timeout`
-  /// (wall clock, counted from call entry — inbox backpressure and transit
-  /// spend the budget) elapses; nullopt on timeout or engine shutdown.
+  /// (wall clock, counted from call entry — waiting for the shard locks
+  /// spends the budget) elapses; nullopt on timeout or engine shutdown.
   std::optional<Tuple> read(const Template& tmpl,
                             std::chrono::nanoseconds timeout = kBlockForever);
   std::optional<Tuple> take(const Template& tmpl,
@@ -161,9 +142,9 @@ class ThreadedSpaceEngine {
   // --- notify --------------------------------------------------------------
 
   /// Registers a listener for every matching write (forever lease).
-  /// Callbacks run on engine or client threads — or on the simulation
-  /// kernel thread when a completion bridge is installed — and must not
-  /// call back into this engine.
+  /// Callbacks run on the thread of the write or commit that matched —
+  /// or on the simulation kernel thread when a completion bridge is
+  /// installed — and must not call back into this engine.
   std::uint64_t notify(Template tmpl, NotifyCallback callback);
   bool cancel_notify(std::uint64_t registration);
 
@@ -179,16 +160,16 @@ class ThreadedSpaceEngine {
   bool cancel(std::uint64_t tuple_id);
 
   /// Routes notify deliveries through a sim::RealtimeBridge so a
-  /// RealTimeRunner loop receives them on its kernel thread. Each drain
-  /// posts its whole delivery batch in one bridge call. Install before
-  /// registering listeners; the bridge must outlive the engine.
+  /// RealTimeRunner loop receives them on its kernel thread. Each write or
+  /// commit posts its whole delivery batch in one bridge call. Install
+  /// before registering listeners; the bridge must outlive the engine.
   void set_completion_bridge(sim::RealtimeBridge* bridge);
 
   // --- introspection -------------------------------------------------------
 
-  /// Every live committed tuple in ticket (= oldest-first) order. Acquires
-  /// all shard ownerships for a consistent cut; draws a ticket and logs
-  /// the cut (kSnapshot) so the replay can verify it.
+  /// Every live committed tuple in ticket (= oldest-first) order. Locks
+  /// every shard for a consistent cut; draws a ticket and logs the cut
+  /// (kSnapshot) so the replay can verify it.
   std::vector<Tuple> snapshot();
 
   /// Aggregated per-shard + cross-shard stats. All-shard op.
@@ -204,84 +185,67 @@ class ThreadedSpaceEngine {
   int shard_of(std::uint64_t key) const {
     return shard_index(key, shards_.size());
   }
-  std::size_t inbox_depth(int shard) const {
-    return shards_.at(static_cast<std::size_t>(shard))->ring.approx_size();
-  }
 
-  /// Stops the workers, completes every parked blocking op with nullopt
+  /// Stops the reapers, completes every parked blocking op with nullopt
   /// (recorded as shutdown cancellations in the op log) and joins.
   /// Idempotent; called by the destructor. No operation may be issued
   /// concurrently with or after shutdown.
   void shutdown();
 
-  /// Observability (DESIGN.md §7/§11): per-shard inbox depth/peak gauges
-  /// and applied-op counters plus engine-level coordination / cross-queue-
-  /// serve counters, all read from atomics (or the ring's racy size
-  /// estimate) so a snapshot never blocks an owner.
+  /// Observability (DESIGN.md §7/§11): per-shard applied-op counters plus
+  /// engine-level size, blocked, coordination and cross-queue-serve
+  /// metrics, all read from atomics so a snapshot never takes a lock.
   void bind_metrics(obs::Registry& registry,
                     const std::string& prefix = "space");
 
-  // --- test hooks ----------------------------------------------------------
-
-  /// Enqueues a request that makes the shard's next drainer (its worker —
-  /// async requests never combine) block until
-  /// resume_stalled_shards_for_testing() — the inbox-backpressure tests.
-  /// Never combine with wildcard/txn/snapshot ops while stalled.
-  void stall_shard_for_testing(int shard);
-  void resume_stalled_shards_for_testing();
-
  private:
-  struct Request;
+  /// Where a parked blocking op waits for its result; lives on the
+  /// caller's stack. A publisher fills it under the shard lock (or
+  /// cross_mu_) and the slot's own mutex, notifying before it unlocks, so
+  /// the caller cannot see `done`, return and destroy the slot mid-touch.
+  struct Slot {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    std::optional<Tuple> result;
+
+    void fill(std::optional<Tuple> value);
+    /// True once filled; false when `deadline` passed first.
+    bool wait_until(std::chrono::steady_clock::time_point deadline);
+  };
 
   struct Waiter {
     std::uint64_t id = 0;  ///< registration ticket
     Template tmpl;
     bool take = false;
-    Request* req = nullptr;  ///< pooled cell owned by the parked client
+    Slot* slot = nullptr;  ///< the parked caller's slot
   };
 
-  /// Notification deliveries collected while holding shard state; flushed
-  /// after the ownership release (one bridge post per drain).
+  /// Notification deliveries collected under the shard lock; delivered
+  /// after the unlock (one bridge post per write or commit).
   using FireBatch = std::vector<std::pair<NotifyCallback, Tuple>>;
 
   struct Shard {
-    explicit Shard(const SpaceConfig& config)
-        : ring(config.inbox_capacity), store(config) {}
+    explicit Shard(const SpaceConfig& config) : store(config) {}
 
-    /// Data-plane inbox: bounded MPSC ring of pooled request cells.
-    util::MpscRing<Request*> ring;
-
-    /// Ownership word: 0 = free, 1 = held. All shard state below the
-    /// metrics block is touched only between a successful try_own CAS
-    /// (acquire) and the matching release store — by the worker, a
-    /// combining client, or the all-shard coordinator.
-    alignas(util::kCacheLineBytes) std::atomic<std::uint32_t> owner{0};
-    /// Coordinator handoff: owners yield at the next request boundary and
-    /// non-coordinators stop contending the CAS while this is set.
-    std::atomic<bool> handoff_req{false};
-    std::atomic<bool> worker_asleep{false};
-    /// Threads parked on park_cv for ring space or the ownership word.
-    std::atomic<int> park_waiters{0};
-    std::atomic<bool> stop{false};
-    /// Wheel's conservative next deadline in steady ns, mirrored by the
-    /// owner at release; -1 = none. Bounds the worker's idle wait.
-    std::atomic<std::int64_t> wheel_next{-1};
-    std::mutex park_mu;
-    std::condition_variable park_cv;
-
-    // Owner-only shard state.
+    /// Guards the fields from store to stop; taken through lock_shard().
+    std::mutex mu;
     ShardStore store;
     std::list<Waiter> waiters;
     Stats stats;
     /// Finite-lease timers, payload = entry id, deadlines in
-    /// engine-relative steady ns. Owner-only like the store.
+    /// engine-relative steady ns.
     sim::TimerWheel wheel;
+    /// The reaper sleeps on reaper_cv until reaper_deadline (steady ns,
+    /// INT64_MAX = no timer) or stop; an earlier arm notifies it.
+    std::condition_variable reaper_cv;
+    std::int64_t reaper_deadline = INT64_MAX;
+    bool stop = false;
 
-    // Exported metrics: atomics, safe to read from any thread.
-    std::atomic<std::size_t> inbox_peak{0};
+    /// Exported metric, read from any thread.
     std::atomic<std::uint64_t> ops_applied{0};
 
-    std::thread worker;
+    std::thread reaper;
   };
 
   struct NotifyReg {
@@ -289,50 +253,53 @@ class ThreadedSpaceEngine {
     NotifyCallback callback;
   };
 
-  void worker_loop(int shard_idx);
-
-  // --- ownership / drain core ----------------------------------------------
-
-  static bool try_own(Shard& sh) {
-    std::uint32_t expect = 0;
-    return sh.owner.compare_exchange_strong(expect, 1,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed);
+  Shard& shard(int shard_idx) {
+    return *shards_[static_cast<std::size_t>(shard_idx)];
   }
-  /// Publishes the wheel's next deadline, releases the ownership word and
-  /// wakes whoever needs the shard next (parked producers / coordinator,
-  /// or the worker when backlog or an earlier deadline appeared).
-  void release_own(Shard& sh);
-  /// Services due lease timers, then applies ring requests until the ring
-  /// is empty or a coordinator requests handoff. Caller holds ownership;
-  /// returns requests applied. Deliveries accumulate into *fire — flush
-  /// with fire_collected() after releasing.
-  std::size_t drain(int shard_idx, FireBatch* fire);
-  /// One combine attempt: own-drain-release. False when the shard was
-  /// unavailable (owned elsewhere or handoff in progress).
-  bool try_combine(int shard_idx);
-  /// Dekker wake of a sleeping worker (producer/backlog side).
-  static void wake_worker(Shard& sh);
+  int named_shard(const Template& tmpl) const {
+    return shard_of(type_key(*tmpl.name, tmpl.arity()));
+  }
 
-  void apply(int shard_idx, Request& req, FireBatch* fire);
-  void apply_write(int shard_idx, Request& req, FireBatch* fire);
-  void apply_match(int shard_idx, Request& req, bool take);
-  void apply_bulk(int shard_idx, Request& req, bool take);
-  void apply_blocking(int shard_idx, Request& req, bool take);
-  void apply_cancel_waiter(int shard_idx, Request& req);
+  /// Reclaims the shard's expired leases whenever no op comes to do it.
+  void reaper_loop(int shard_idx);
 
+  // --- locking ------------------------------------------------------------
+
+  /// Locks a shard: kSpinIters try_lock + yield probes, then a blocking
+  /// lock.
+  static std::unique_lock<std::mutex> lock_shard(Shard& sh);
+  /// Locks a shard for a named op: counts the op and reclaims due leases
+  /// first, so an overdue expiry draws its ticket ahead of the op.
+  std::unique_lock<std::mutex> enter_shard(int shard_idx);
+  /// Takes barrier_mu_, then every shard mutex in index order; returns
+  /// with exclusive access to all shard state.
+  void barrier_acquire();
+  void barrier_release();
+  /// Runs `op(stats)` with exclusive access to every shard `tmpl` can
+  /// match: its own shard for a named template, else all of them.
+  template <typename Op>
+  auto exclusive(const Template& tmpl, Op&& op);
+
+  // --- shard state (caller holds the lock) ----------------------------------
+
+  Lease apply_write(int shard_idx, Tuple tuple, sim::Time lease,
+                    FireBatch* fire);
   /// Serves waiters, then stores the tuple unless a blocked take consumed
   /// it. `cross_locked` = cross_mu_ is held, so the wildcard queue
   /// participates in the registration-order merge. `expires_at` is the
   /// entry's steady-ns expiry (sim::Time::max() = forever).
   void serve_and_store(int shard_idx, std::uint64_t id, Tuple tuple,
                        bool cross_locked, sim::Time expires_at);
+  /// Arms the lease timer of entry `id` (none for a forever lease) and
+  /// wakes the reaper when it sleeps past the new deadline.
+  sim::TimerWheel::TimerId arm_lease(Shard& sh, sim::Time expires_at,
+                                     std::uint64_t id);
   /// Reclaims every entry whose wheel deadline has passed, drawing one
-  /// ticket per expiry (logged as kLeaseExpire). Caller owns the shard.
+  /// ticket per expiry (logged as kLeaseExpire).
   void service_shard_wheel(int shard_idx);
   /// Nanoseconds since the engine's steady-clock epoch.
   std::int64_t steady_now_ns() const;
-  /// Oldest stored match; the caller owns the shard(s) it may live on.
+  /// Oldest stored match; the caller holds the shard(s) it may live on.
   EntryRef find_match(const Template& tmpl, Stats& stats) {
     return find_oldest(stores_, tmpl, kAllVisible, stats.scan_steps);
   }
@@ -341,34 +308,31 @@ class ThreadedSpaceEngine {
   /// to the transaction's own provisional writes.
   std::optional<Tuple> match_if_exists(EntryRef found, const Template& tmpl,
                                        TxnView* txn, bool take, Stats& stats);
-  /// read_all / take_all over the owned shard(s), logged at `ticket`.
+  /// read_all / take_all over the held shard(s), logged at `ticket`.
   std::vector<Tuple> match_all(const Template& tmpl, std::size_t max,
                                bool take, std::uint64_t ticket, Stats& stats);
   void erase_entry(EntryRef ref);
   /// Collects matching notify callbacks (cross_mu_ held); deliver after
-  /// the exclusive section via fire_collected().
+  /// the unlock via fire_collected().
   void collect_notifications(const Tuple& tuple, FireBatch* fire);
-  /// Delivers a drain's collected notifications: one post_batch through
-  /// the bridge, or direct invocation. Call with no shard state held.
+  /// Delivers an op's collected notifications: one post_batch through
+  /// the bridge, or direct invocation. Call with no lock held.
   void fire_collected(FireBatch fire);
+
+  // --- waiters ---------------------------------------------------------------
+
   /// Logs a blocked-op record completed with `result` (no-op unlogged).
   void log_blocked(std::uint64_t ticket, bool take, const Template& tmpl,
                    const std::optional<Tuple>& result);
-  /// Completes a served waiter: logs the blocked-op record and wakes the
-  /// parked client.
+  /// Completes a served waiter: logs the blocked-op record and fills the
+  /// parked caller's slot.
   void complete_waiter(const Waiter& waiter, Tuple tuple);
   void cancel_waiter_record(const Waiter& waiter, std::uint64_t cancel_ticket);
-
-  /// Acquires every shard's ownership word in index order (serialized by
-  /// barrier_mu_); returns with exclusive access to all shard state.
-  void barrier_acquire();
-  void barrier_release();
-  /// The raw index-order ownership sweep under barrier_acquire — also used
-  /// by shutdown(), whose waiter cancellation must serialize with the
-  /// timeout-cancel leg of a pre-shutdown blocking op (that leg
-  /// flat-combines the shard once the workers are joined).
-  void own_all_shards();
-  void disown_all_shards();
+  /// Timeout leg: removes waiter `ticket` from `queue` (caller holds the
+  /// queue's lock) and logs its cancellation under a fresh ticket. False
+  /// when a publish or shutdown already completed it.
+  bool remove_waiter(std::list<Waiter>& queue, std::uint64_t ticket,
+                     Stats& stats);
 
   std::uint64_t next_ticket() {
     return lin_ticket_.fetch_add(1, std::memory_order_relaxed);
@@ -377,36 +341,14 @@ class ThreadedSpaceEngine {
     return cross_count_.load(std::memory_order_acquire) > 0;
   }
 
-  // --- request cells --------------------------------------------------------
-
-  Request* acquire_request();
-  void release_request(Request* req);
-  /// Enqueues with full-ring backpressure. Sync producers (allow_combine)
-  /// drain the shard themselves to make space; async producers wake the
-  /// worker and park.
-  void push_request(int shard_idx, Request* req, bool allow_combine);
-  /// Spins (combining when shard_idx >= 0), then parks on the request cell
-  /// until `bits` appears in its phase word.
-  void wait_phase(int shard_idx, Request& req, std::uint32_t bits);
-  /// Sets `bit` in the phase word and wakes the cell's sleeper if any.
-  /// Result fields must be written before the call.
-  static void signal_phase(Request& req, std::uint32_t bit);
-
   TxnView* find_txn(std::uint64_t txn);
 
   std::optional<Tuple> blocking_op(const Template& tmpl,
                                    std::chrono::nanoseconds timeout,
                                    bool take);
-  /// Named ops go through the owning shard's ring; wildcards take the
-  /// all-shard sequence point.
-  std::optional<Tuple> submit_if_exists(const Template& tmpl,
-                                        std::uint64_t txn, bool take);
-  std::vector<Tuple> submit_bulk(const Template& tmpl, std::size_t max,
+  std::optional<Tuple> if_exists(const Template& tmpl, std::uint64_t txn,
                                  bool take);
-  std::optional<Tuple> wildcard_if_exists(const Template& tmpl,
-                                          std::uint64_t txn, bool take);
-  std::vector<Tuple> wildcard_bulk(const Template& tmpl, std::size_t max,
-                                   bool take);
+  std::vector<Tuple> bulk(const Template& tmpl, std::size_t max, bool take);
   void note_peak_size();
   void note_peak_blocked();
 
@@ -420,11 +362,6 @@ class ThreadedSpaceEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<ShardStore*> stores_;  ///< &shards_[s]->store, by shard
-
-  /// Slab of reusable request cells (zero heap allocation per op); sync
-  /// ops release their cell on return, drains release async cells.
-  /// Indirect because Request is incomplete here (threaded.cpp owns it).
-  std::unique_ptr<util::SlabPool<Request>> pool_;
 
   /// Global linearization tickets; doubles as the id space for tuples,
   /// waiters, transactions and notify registrations. Starts at 1: 0 marks
@@ -441,10 +378,9 @@ class ThreadedSpaceEngine {
   std::atomic<std::size_t> cross_count_{0};
   Stats cross_stats_;  ///< cross_mu_-guarded (notifications, wildcard serves)
 
-  /// Coordination: barrier_mu_ serializes all-shard coordinators; the
-  /// per-shard acquisition runs over each shard's ownership word.
+  /// Serializes all-shard coordinators. Lock order: barrier_mu_ → shard
+  /// mutexes (index order) → cross_mu_ / txn_mu_ → a waiter's Slot::mu.
   std::mutex barrier_mu_;
-  bool barrier_owns_shards_ = false;  ///< barrier_mu_-guarded
   Stats barrier_stats_;  ///< only touched while all shards are held
 
   std::mutex txn_mu_;
@@ -456,10 +392,6 @@ class ThreadedSpaceEngine {
   std::atomic<std::size_t> peak_blocked_{0};
   std::atomic<std::uint64_t> barriers_{0};
   std::atomic<std::uint64_t> cross_serves_{0};
-
-  std::mutex stall_mu_;
-  std::condition_variable stall_cv_;
-  bool stalled_ = false;
 
   std::mutex shutdown_mu_;
   bool shut_down_ = false;

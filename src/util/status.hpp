@@ -7,19 +7,16 @@
 // template matched nothing" (OK + empty) and "the deadline passed"
 // (DEADLINE_EXCEEDED). The idiom follows the classic util::Status design
 // (SNIPPETS.md snippet 1/2): a small value type carrying a canonical code
-// plus a human-readable message, with StatusOr<T> for value-or-error.
+// plus a human-readable message.
 //
 // StatusCode values travel on the wire (one byte in both codecs), so the
 // numeric assignments below are frozen: append new codes, never renumber.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-
-#include "src/util/assert.hpp"
 
 namespace tb::util {
 
@@ -104,42 +101,5 @@ inline Status FailedPrecondition(std::string msg) {
 inline Status Unimplemented(std::string msg) {
   return Status(StatusCode::kUnimplemented, std::move(msg));
 }
-
-/// Value-or-error. Holds T when status().ok(), nothing otherwise.
-template <typename T>
-class StatusOr {
- public:
-  StatusOr(T value)  // NOLINT(google-explicit-constructor)
-      : value_(std::move(value)) {}
-  StatusOr(Status status)  // NOLINT(google-explicit-constructor)
-      : status_(std::move(status)) {
-    TB_REQUIRE(!status_.ok());  // OK demands a value: use StatusOr(T).
-  }
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-
-  const T& value() const& {
-    TB_REQUIRE(ok());
-    return *value_;
-  }
-  T& value() & {
-    TB_REQUIRE(ok());
-    return *value_;
-  }
-  T&& value() && {
-    TB_REQUIRE(ok());
-    return *std::move(value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
- private:
-  Status status_;
-  std::optional<T> value_;
-};
 
 }  // namespace tb::util

@@ -120,6 +120,8 @@ sim::Task<bool> MultiBusRelay::service(std::uint8_t node) {
   while (std::optional<RelaySegment> segment = parser.next()) {
     enqueue(*segment);
   }
+  stats_.crc_failures = 0;
+  for (const auto& [id, p] : parsers_) stats_.crc_failures += p.crc_failures();
   co_return true;
 }
 

@@ -200,8 +200,7 @@ void run_differential_seed(std::uint64_t seed, int shard_count) {
   OpLog log;
   const SpaceConfig config{.use_type_index = true,
                            .shard_count = shard_count,
-                           .execution_mode = ExecutionMode::kThreaded,
-                           .inbox_capacity = 64};
+                           .execution_mode = ExecutionMode::kThreaded};
   ThreadedSpaceEngine space(config, &log);
 
   std::atomic<std::uint64_t> named_hits{0};
@@ -421,8 +420,7 @@ TEST(SpaceDifferential, ThreadedMatchesNaiveOracle) {
       ThreadedSpaceEngine space(
           SpaceConfig{.use_type_index = true,
                       .shard_count = shard_count,
-                      .execution_mode = ExecutionMode::kThreaded,
-                      .inbox_capacity = 64},
+                      .execution_mode = ExecutionMode::kThreaded},
           &log);
       std::vector<std::thread> clients;
       for (int tid = 0; tid < kClients; ++tid) {

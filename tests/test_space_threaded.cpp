@@ -1,7 +1,7 @@
 // Directed tests for the real-thread tuplespace runtime (DESIGN.md §11):
 // wildcard scatter/gather ordering under concurrent writers, oldest-waiter-
-// wins across the shard and cross-shard wildcard queues, inbox backpressure
-// when a shard stalls, clean shutdown with parked blocking takes, and
+// wins across the shard and cross-shard wildcard queues, lease reclamation
+// on an idle shard, clean shutdown with parked blocking takes, and
 // transaction / notify semantics — each backed, where it adds signal, by an
 // op-log replay through the deterministic oracle.
 #include "src/space/threaded.hpp"
@@ -39,11 +39,10 @@ Template wildcard(std::size_t arity) {
   return Template(std::nullopt, std::move(fields));
 }
 
-SpaceConfig threaded_config(int shards, std::size_t inbox = 256) {
+SpaceConfig threaded_config(int shards) {
   return SpaceConfig{.use_type_index = true,
                      .shard_count = shards,
-                     .execution_mode = ExecutionMode::kThreaded,
-                     .inbox_capacity = inbox};
+                     .execution_mode = ExecutionMode::kThreaded};
 }
 
 /// Spins until `pred` holds or ~5 s elapse; returns whether it held.
@@ -208,31 +207,25 @@ TEST(ThreadedSpaceEngine, BlockingTakeTimesOut) {
   EXPECT_TRUE(report.equivalent) << report.divergence;
 }
 
-TEST(ThreadedSpaceEngine, InboxBackpressureWhenShardStalls) {
-  // Capacity-2 inbox on a stalled single shard: the worker is wedged inside
-  // the stall request, so the third async write must block its producer
-  // until the shard resumes.
-  ThreadedSpaceEngine space(threaded_config(1, /*inbox=*/2));
-  space.stall_shard_for_testing(0);
+TEST(ThreadedSpaceEngine, FiniteLeaseReclaimedOnIdleShard) {
+  // Nothing but the write touches the shard, so no op reclaims the entry
+  // on its way in: the shard's reaper must wake at the deadline itself.
+  // The pause lets the reaper go to sleep with an empty wheel first, so
+  // the write has to wake it.
+  OpLog log;
+  const SpaceConfig config = threaded_config(2);
+  ThreadedSpaceEngine space(config, &log);
+  std::this_thread::sleep_for(10ms);
+  space.write(make_tuple("lease", std::int64_t{1}), sim::Time::ms(5), kNoTxn);
+  EXPECT_TRUE(eventually([&] {
+    return space.size() == 0 && space.stats().expirations == 1;
+  }));
 
-  space.write_async(make_tuple("q", std::int64_t{0}));
-  space.write_async(make_tuple("q", std::int64_t{1}));
-  ASSERT_TRUE(eventually([&] { return space.inbox_depth(0) == 2; }));
-
-  std::atomic<bool> third_done{false};
-  std::thread producer([&] {
-    space.write_async(make_tuple("q", std::int64_t{2}));
-    third_done.store(true);
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_FALSE(third_done.load());  // backpressure: inbox full, producer waits
-  EXPECT_LE(space.inbox_depth(0), 2u);
-
-  space.resume_stalled_shards_for_testing();
-  producer.join();
-  EXPECT_TRUE(third_done.load());
-  ASSERT_TRUE(eventually([&] { return space.size() == 3; }));
-  EXPECT_EQ(space.take_all(any_named("q", 1)).size(), 3u);
+  const std::vector<Tuple> final_state = space.snapshot();
+  space.shutdown();
+  const ReplayReport report =
+      replay_against_oracle(log, config, final_state);
+  EXPECT_TRUE(report.equivalent) << report.divergence;
 }
 
 TEST(ThreadedSpaceEngine, CleanShutdownCompletesParkedBlockingTakes) {
@@ -265,11 +258,11 @@ TEST(ThreadedSpaceEngine, CleanShutdownCompletesParkedBlockingTakes) {
   EXPECT_TRUE(report.equivalent) << report.divergence;
 }
 
-// Regression (shutdown vs. timeout-cancel): once the workers are joined,
-// the timeout leg of a pre-shutdown blocking take flat-combines the shard
-// itself, so shutdown()'s waiter cancellation must hold the shard
-// ownership words — without that, both sides mutate the same waiter list
-// and can double-complete one waiter onto a recycled request cell. The
+// Regression (shutdown vs. timeout-cancel): the timeout leg of a
+// pre-shutdown blocking take removes its own waiter under the shard lock,
+// so shutdown()'s waiter cancellation must hold the shard locks too —
+// without that, both sides mutate the same waiter list and can
+// double-complete one waiter. The
 // finite timeouts here are tuned to expire while shutdown() runs, the
 // per-round delay sweeps the interleaving, and the threaded tier's TSan
 // run is the detector for the original unserialized mutation.
@@ -404,7 +397,7 @@ TEST(ThreadedSpaceEngine, NotifyDeliversOnKernelThreadViaBridge) {
   EXPECT_FALSE(wrong_thread.load());
 }
 
-TEST(ThreadedSpaceEngine, MetricsExposeInboxDepthAndAppliedOps) {
+TEST(ThreadedSpaceEngine, MetricsExposeSizeAndAppliedOps) {
   obs::Registry registry;
   ThreadedSpaceEngine space(threaded_config(2));
   space.bind_metrics(registry, "tspace");
@@ -427,58 +420,6 @@ TEST(ThreadedSpaceEngine, MetricsExposeInboxDepthAndAppliedOps) {
   const double applied = value("tspace.shard0.ops_applied") +
                          value("tspace.shard1.ops_applied");
   EXPECT_EQ(applied, 2.0);
-  EXPECT_GE(value("tspace.shard0.inbox_peak") +
-                value("tspace.shard1.inbox_peak"),
-            1.0);
-}
-
-TEST(ThreadedSpaceEngine, InboxPeakIsMonotoneUnderConcurrentProducers) {
-  // inbox_peak is a CAS-max watermark: concurrent async producers hammer
-  // one shard while this thread samples the metric. Every sample must be
-  // >= the previous one (a plain store instead of the CAS-max loop loses
-  // the race and shows up here as a dip), and the final value can never
-  // exceed the ring capacity.
-  obs::Registry registry;
-  ThreadedSpaceEngine space(threaded_config(1, /*inbox=*/64));
-  space.bind_metrics(registry, "tspace");
-
-  auto peak = [&] {
-    const auto snap = registry.snapshot();
-    for (const auto& g : snap.gauges) {
-      if (g.name == "tspace.shard0.inbox_peak") return g.value;
-    }
-    return -1.0;
-  };
-
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 2000;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&space, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        space.write_async(make_tuple("m-" + std::to_string(p),
-                                     std::int64_t{i}));
-      }
-    });
-  }
-  double last = 0.0;
-  for (int s = 0; s < 200; ++s) {
-    const double now = peak();
-    EXPECT_GE(now, last) << "watermark regressed at sample " << s;
-    last = std::max(last, now);
-    std::this_thread::sleep_for(100us);
-  }
-  for (std::thread& t : producers) t.join();
-
-  ASSERT_TRUE(eventually([&] {
-    return space.size() ==
-           static_cast<std::size_t>(kProducers) * kPerProducer;
-  }));
-  const double final_peak = peak();
-  EXPECT_GE(final_peak, 1.0);   // floor: at a push instant depth >= 1
-  EXPECT_GE(final_peak, last);  // still monotone after the run
-  EXPECT_LE(final_peak, 64.0);  // bounded by ring capacity
 }
 
 }  // namespace

@@ -218,6 +218,24 @@ TEST(MultiBusRelay, UnknownDestinationDropped) {
   EXPECT_EQ(rig.relay.stats().segments_dropped, 1u);
 }
 
+TEST(MultiBusRelay, CountsCorruptSegments) {
+  RelayRigB rig;
+  std::vector<std::uint8_t> bad = encode_segment({1, 2, {0x42}});
+  bad.back() ^= 0xFF;  // wreck the CRC
+  rig.slaves[0]->host_send(bad);
+  rig.slaves[0]->host_send(encode_segment({1, 2, {0x43}}));
+  rig.relay.start();
+  rig.sim.run_until(5_s);
+  rig.relay.stop();
+  EXPECT_EQ(rig.relay.stats().crc_failures, 1u);
+  SegmentParser parser;
+  parser.feed(rig.slaves[1]->host_receive());
+  auto got = parser.next();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload[0], 0x43);
+  EXPECT_FALSE(parser.next().has_value());
+}
+
 TEST(MultiBusRelay, RejectsUnattachedNode) {
   sim::Simulator sim;
   LinkConfig link;
