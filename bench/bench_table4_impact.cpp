@@ -32,20 +32,28 @@ int main() {
     if (result.out_of_time) return "Out of Time";
     return util::format_double(result.total.seconds(), 0) + "s";
   };
-  auto metric_name = [](double rate, const char* variant) {
-    return "cbr" + util::format_double(rate, 1) + "." + variant + "_s";
+  auto metric_name = [](double rate, const char* variant,
+                        const char* suffix) {
+    return "cbr" + util::format_double(rate, 1) + "." + variant + suffix;
   };
-  auto add_metric = [&](const std::string& name,
+  auto add_metric = [&](double rate, const char* variant,
                         const cosim::ImpactResult& result) {
-    // "Out of Time" / incompletion is encoded as 0 with zero tolerance so a
-    // run that newly expires (or newly completes) flips the gate.
-    const double value =
-        (result.completed && !result.out_of_time) ? result.total.seconds()
-                                                  : 0.0;
+    // A cell that did not complete in time reads 0 s. Under `better: lower`
+    // that 0 cannot catch a cell that newly expires (144 s -> 0 s reads as
+    // an improvement), so each cell also carries a gated completion flag:
+    // 1 = completed in time, better higher, zero tolerance. The 0 s value
+    // keeps zero tolerance too, so a cell that newly completes fails on it.
+    const bool completed = result.completed && !result.out_of_time;
+    const double value = completed ? result.total.seconds() : 0.0;
     obs::BenchReport::KeyMetricOptions options;
     options.unit = "s";
     if (value == 0.0) options.tolerance_pct = 0.0;
-    bench.add_key_metric(name, value, obs::Better::kLower, options);
+    bench.add_key_metric(metric_name(rate, variant, "_s"), value,
+                         obs::Better::kLower, options);
+    obs::BenchReport::KeyMetricOptions flag;
+    flag.tolerance_pct = 0.0;
+    bench.add_key_metric(metric_name(rate, variant, "_completed"),
+                         completed ? 1.0 : 0.0, obs::Better::kHigher, flag);
   };
   // The Table 4 grid is 3 CBR rates x 3 bus variants = 9 independent long
   // co-simulations; flatten it and fan out across TB_JOBS workers. Results
@@ -74,11 +82,11 @@ int main() {
     const cosim::ImpactResult& two_wire = grid[ri * 3 + 1];
     const cosim::ImpactResult& result_b = grid[ri * 3 + 2];
     row.push_back(render_cell(one_wire));
-    add_metric(metric_name(rate, "1wire"), one_wire);
+    add_metric(rate, "1wire", one_wire);
     row.push_back(render_cell(two_wire));
-    add_metric(metric_name(rate, "2wire"), two_wire);
+    add_metric(rate, "2wire", two_wire);
     row.push_back(render_cell(result_b));
-    add_metric(metric_name(rate, "mode_b"), result_b);
+    add_metric(rate, "mode_b", result_b);
     row.push_back(util::format_double(one_wire.bus_utilization * 100.0, 1) +
                   "%");
     row.push_back(std::to_string(one_wire.bus_cycles));

@@ -89,6 +89,10 @@ ImpactResult run_impact(const ImpactConfig& config) {
   result.bus_cycles = scenario.bus().stats().cycles;
   result.relay_bytes = scenario.relay().stats().bytes_drained;
   result.cbr_packets_delivered = sink.segments_received();
+
+  // Let the relay's coroutines finish so none outlives the simulator.
+  cbr.stop();
+  scenario.shutdown();
   return result;
 }
 
@@ -170,7 +174,6 @@ ImpactResult run_impact_mode_b(const ImpactConfig& config) {
   });
 
   rig.sim.run_until(config.max_sim_time);
-  rig.relay.stop();
 
   result.bus_utilization =
       (rig.system.bus(0).utilization() + rig.system.bus(1).utilization()) / 2.0;
@@ -178,6 +181,12 @@ ImpactResult run_impact_mode_b(const ImpactConfig& config) {
       rig.system.bus(0).stats().cycles + rig.system.bus(1).stats().cycles;
   result.relay_bytes = rig.relay.stats().bytes_drained;
   result.cbr_packets_delivered = sink.segments_received();
+
+  // As WireScenario::shutdown(): stop the relay, then run the clock until
+  // its poll and push loops see the flag and complete their frames.
+  cbr.stop();
+  rig.relay.stop();
+  rig.sim.run_until(rig.sim.now() + sim::Time::sec(5));
   return result;
 }
 

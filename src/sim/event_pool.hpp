@@ -79,17 +79,7 @@ class EventPool {
       index = free_.back();
       free_.pop_back();
     } else {
-      index = static_cast<std::uint32_t>(slot_count_);
-      TB_ASSERT(index <= kIndexMask);
-      if (index >> kChunkShift == chunks_.size()) {
-        // Raw storage: slots are placement-constructed one at a time as
-        // the pool grows, so a short-lived Simulator (a sweep runs
-        // thousands) never pays for initializing a whole chunk.
-        chunks_.push_back(
-            std::make_unique<std::byte[]>(kChunkSize * sizeof(Slot)));
-      }
-      ::new (&slot(index)) Slot();
-      ++slot_count_;
+      index = grow();
     }
     Slot& s = slot(index);
     const std::uint64_t id = pack(seq, index);
@@ -119,6 +109,16 @@ class EventPool {
     return fn;
   }
 
+  /// Leaves the pool exactly as acquire() followed at once by release()
+  /// would: the free list is unchanged unless it was empty, in which case
+  /// the pool grows by one (free) slot. Simulator::try_advance() uses it so
+  /// an in-place advance assigns later events the same ids a queued resume
+  /// event would have.
+  void cycle_slot() {
+    if (free_.empty()) free_.push_back(grow());
+    // else: popping and re-pushing the back index changes nothing.
+  }
+
   std::size_t live() const { return live_; }
 
  private:
@@ -134,6 +134,22 @@ class EventPool {
     std::uint64_t id = 0;  ///< packed id of the occupant; 0 = free
   };
   static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  /// Constructs the next never-used slot and returns its index.
+  std::uint32_t grow() {
+    const auto index = static_cast<std::uint32_t>(slot_count_);
+    TB_ASSERT(index <= kIndexMask);
+    if (index >> kChunkShift == chunks_.size()) {
+      // Raw storage: slots are placement-constructed one at a time as the
+      // pool grows, so a short-lived Simulator (a sweep runs thousands)
+      // never pays for initializing a whole chunk.
+      chunks_.push_back(
+          std::make_unique<std::byte[]>(kChunkSize * sizeof(Slot)));
+    }
+    ::new (&slot(index)) Slot();
+    ++slot_count_;
+    return index;
+  }
 
   Slot& slot(std::uint32_t index) {
     return reinterpret_cast<Slot*>(

@@ -299,4 +299,21 @@ struct DelayAwaiter {
 
 inline DelayAwaiter delay(Simulator& sim, Time d) { return DelayAwaiter{sim, d}; }
 
+/// delay() for a coroutine a kernel event resumed directly: when the resume
+/// event at now() + d would be the next one dispatched, await_ready()
+/// advances the clock in place (Simulator::try_advance) and the coroutine
+/// runs on without a queue round trip; otherwise it suspends exactly as
+/// delay() does. Only valid where nothing else is left to run in the
+/// current event after the wait — the first wait after a coroutine starts
+/// (or is resumed by anything but a kernel event) must be a plain delay().
+struct AdvanceAwaiter : DelayAwaiter {
+  bool await_ready() const {
+    return d <= Time::zero() || sim.try_advance(sim.now() + d);
+  }
+};
+
+inline AdvanceAwaiter advance(Simulator& sim, Time d) {
+  return AdvanceAwaiter{{sim, d}};
+}
+
 }  // namespace tb::sim

@@ -77,19 +77,59 @@ std::optional<Time> Simulator::next_event_time() {
   return std::nullopt;
 }
 
-bool Simulator::step() { return dispatch_next(Time::zero(), /*bounded=*/false); }
+bool Simulator::try_advance(Time at) {
+  if (!loop_.active || stop_requested_ || perturb_delay_ || at <= now_) {
+    return false;
+  }
+  if (loop_.bounded && at > loop_.limit) return false;
+  if (const std::optional<Time> next = next_event_time(); next && *next <= at) {
+    return false;
+  }
+  // Account for the resume event as if it had been scheduled and fired:
+  // its seq, its pool slot's round trip, and the pending high-water mark.
+  ++next_seq_;
+  pool_.cycle_slot();
+  ++scheduled_;
+  if (pool_.live() + 1 > peak_pending_) peak_pending_ = pool_.live() + 1;
+  ++executed_;
+  now_ = at;
+  return true;
+}
 
-void Simulator::run() {
+namespace {
+/// Sets `slot` to `value` for the scope's lifetime, restoring the enclosing
+/// value on exit (also when an event throws out of the loop).
+template <typename T>
+class ScopedSet {
+ public:
+  ScopedSet(T& slot, T value) : slot_(slot), saved_(slot) { slot_ = value; }
+  ~ScopedSet() { slot_ = saved_; }
+  ScopedSet(const ScopedSet&) = delete;
+  ScopedSet& operator=(const ScopedSet&) = delete;
+
+ private:
+  T& slot_;
+  T saved_;
+};
+}  // namespace
+
+bool Simulator::step() {
+  const ScopedSet<Loop> no_loop(loop_, Loop{});
+  return dispatch_next(Time::zero(), /*bounded=*/false);
+}
+
+void Simulator::run_loop(Time limit, bool bounded) {
+  const ScopedSet<Loop> loop(loop_, Loop{true, bounded, limit});
   stop_requested_ = false;
-  while (!stop_requested_ && dispatch_next(Time::zero(), /*bounded=*/false)) {
+  while (!stop_requested_ && dispatch_next(limit, bounded)) {
   }
 }
 
+void Simulator::run() { run_loop(Time::zero(), /*bounded=*/false); }
+
 void Simulator::run_until(Time until) {
   TB_REQUIRE(until >= now_);
-  stop_requested_ = false;
-  while (!stop_requested_ && dispatch_next(until, /*bounded=*/true)) {
-  }
+  run_loop(until, /*bounded=*/true);
   if (!stop_requested_ && now_ < until) now_ = until;
 }
 

@@ -88,6 +88,25 @@ class Simulator {
   /// Convenience: run_until(now() + delta).
   void run_for(Time delta) { run_until(now_ + delta); }
 
+  /// Advances now() to `at` in place of dispatching a resume event there,
+  /// when that event would be the very next one the running loop
+  /// dispatches (DESIGN.md §8). On success the call has the effect of
+  /// scheduling an event at `at` and firing it at once: it consumes the
+  /// seq number, counts one scheduled and one fired event, and raises
+  /// peak_pending_events() as if the event had been pending, so event
+  /// order, ids and counters read exactly as with schedule + dispatch.
+  /// Returns false and changes nothing when called outside run() /
+  /// run_until() (step() never advances in place), after stop(), while a
+  /// delay perturbation is installed (the hook is not called), past
+  /// run_until()'s bound, when `at <= now()`, or when a live event is due
+  /// at or before `at` (one due exactly at `at` was scheduled earlier and
+  /// wins the seq tie-break).
+  ///
+  /// The caller must be the tail of the event being dispatched: code that
+  /// a kernel event resumed directly, with nothing left to run in that
+  /// event after the caller's wait. sim::advance() is the awaitable form.
+  bool try_advance(Time at);
+
   /// Requests run()/run_until() to return after the current event.
   void stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
@@ -127,6 +146,15 @@ class Simulator {
 
  private:
   bool dispatch_next(Time limit, bool bounded);
+  void run_loop(Time limit, bool bounded);
+
+  /// The dispatch loop try_advance() may fast-forward: set for the
+  /// duration of run()/run_until(), cleared under step().
+  struct Loop {
+    bool active = false;
+    bool bounded = false;
+    Time limit = Time::zero();
+  };
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;  ///< > 0: a packed event id is never 0
@@ -135,6 +163,7 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::size_t peak_pending_ = 0;
   bool stop_requested_ = false;
+  Loop loop_;
   detail::EventPool pool_;
   detail::EventQueue queue_;
   util::Xoshiro256 rng_;

@@ -18,7 +18,10 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   trace.tx_word = word;
   trace.expect_reply = expect_reply;
 
-  // TX frame leaves the master.
+  // TX frame leaves the master. This wait stays a queued event: the caller
+  // is still on the stack at `start`. From here on only the kernel's resume
+  // event resumes this coroutine, so every later wait may advance the clock
+  // in place when nothing else is due first (sim::advance, DESIGN.md §13).
   co_await sim::delay(*sim_, link_.frame_duration());
 
   // The frame repeats through the chain; each node sees it one hop later.
@@ -26,7 +29,7 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   RxFrame response;
   sim::Time responder_saw_at;
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    co_await sim::delay(*sim_, link_.hop_delay());
+    co_await sim::advance(*sim_, link_.hop_delay());
     std::optional<RxFrame> r = chain_[i]->observe_frame(word);
     if (r.has_value()) {
       TB_ASSERT(responder < 0);  // at most one selected slave may answer
@@ -42,11 +45,12 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   if (!expect_reply) {
     // Broadcast cycle: nobody answers; wait the fixed broadcast gap.
     const sim::Time until = start + link_.frame_duration() + link_.broadcast_gap();
-    if (until > sim_->now()) co_await sim::delay(*sim_, until - sim_->now());
+    if (until > sim_->now()) co_await sim::advance(*sim_, until - sim_->now());
     result.status = CycleResult::Status::kOk;
     ++stats_.ok;
   } else if (responder < 0) {
-    if (timeout_at > sim_->now()) co_await sim::delay(*sim_, timeout_at - sim_->now());
+    if (timeout_at > sim_->now())
+      co_await sim::advance(*sim_, timeout_at - sim_->now());
     result.status = CycleResult::Status::kTimeout;
     ++stats_.timeouts;
   } else {
@@ -61,12 +65,12 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
     if (rx_at_master > timeout_at) {
       // Response exists but arrives after the master gave up.
       if (timeout_at > sim_->now())
-        co_await sim::delay(*sim_, timeout_at - sim_->now());
+        co_await sim::advance(*sim_, timeout_at - sim_->now());
       result.status = CycleResult::Status::kTimeout;
       ++stats_.timeouts;
     } else {
       if (rx_at_master > sim_->now())
-        co_await sim::delay(*sim_, rx_at_master - sim_->now());
+        co_await sim::advance(*sim_, rx_at_master - sim_->now());
       const std::uint16_t rx_word =
           maybe_corrupt(response.encode(), faults_.rx_corrupt_prob, /*rx=*/true,
                         stats_.rx_corrupted);
@@ -84,7 +88,7 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
     }
   }
 
-  co_await sim::delay(*sim_, link_.interframe_gap());
+  co_await sim::advance(*sim_, link_.interframe_gap());
   stats_.busy_time += sim_->now() - start;
   busy_ = false;
   trace.end = sim_->now();

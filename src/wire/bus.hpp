@@ -18,8 +18,12 @@
 // an error occurs during the receive of TX or RX frames").
 //
 // This model is the ground truth the faster levels (FrameLevelBus,
-// AnalyticTiming) are cross-validated against: it schedules one DES event
-// per hop and routes every word through every slave's observe_frame().
+// AnalyticTiming) are cross-validated against: it spends one logical DES
+// event per hop and routes every word through every slave's
+// observe_frame(). When nothing else is due before a hop, the kernel
+// dispatches that hop's event in place (sim::advance, DESIGN.md §13): the
+// clock moves without a queue round trip, and event order, ids and counters
+// read as if the event had been queued.
 #pragma once
 
 #include "src/wire/bus_model.hpp"

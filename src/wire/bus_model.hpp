@@ -9,7 +9,8 @@
 // drives, so a scenario picks its level without touching the layers above:
 //
 //   kBitAccurate — OneWireBus (src/wire/bus.hpp): one DES event per hop,
-//     every slave observes every word. Ground truth.
+//     every slave observes every word. Ground truth. A hop with nothing
+//     else due first is dispatched in place, off the queue.
 //   kFrameLevel  — FrameLevelBus (src/wire/frame_bus.hpp): one DES event
 //     per communication cycle; hop/turnaround/RX times are computed in
 //     closed form from LinkConfig and only the responding slave is touched.

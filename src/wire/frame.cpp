@@ -1,10 +1,31 @@
 #include "src/wire/frame.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "src/util/crc.hpp"
 
 namespace tb::wire {
+
+namespace {
+
+// CRC-4 of every TX (11-bit CMD+DATA) and RX (10-bit TYPE+DATA) frame body,
+// tabulated at compile time from util::crc4_itu, so the polynomial stays
+// defined once and the per-hop decode is one lookup.
+template <int kBodyBits>
+constexpr std::array<std::uint8_t, std::size_t{1} << kBodyBits>
+make_crc4_table() {
+  std::array<std::uint8_t, std::size_t{1} << kBodyBits> table{};
+  for (std::size_t body = 0; body < table.size(); ++body) {
+    table[body] = util::crc4_itu(body, kBodyBits);
+  }
+  return table;
+}
+
+constexpr auto kTxCrc = make_crc4_table<11>();
+constexpr auto kRxCrc = make_crc4_table<10>();
+
+}  // namespace
 
 const char* to_string(Command cmd) {
   switch (cmd) {
@@ -42,7 +63,7 @@ const char* to_string(FrameError err) {
 std::uint8_t TxFrame::crc() const {
   const std::uint64_t body =
       (static_cast<std::uint64_t>(static_cast<std::uint8_t>(cmd) & 0x7) << 8) | data;
-  return util::crc4_itu(body, 11);
+  return kTxCrc[body];
 }
 
 std::uint16_t TxFrame::encode() const {
@@ -78,7 +99,7 @@ std::string TxFrame::to_string() const {
 std::uint8_t RxFrame::crc() const {
   const std::uint64_t body =
       (static_cast<std::uint64_t>(static_cast<std::uint8_t>(type) & 0x3) << 8) | data;
-  return util::crc4_itu(body, 10);
+  return kRxCrc[body];
 }
 
 std::uint16_t RxFrame::encode() const {

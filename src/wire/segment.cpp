@@ -37,14 +37,18 @@ void SegmentParser::feed(std::span<const std::uint8_t> bytes) {
 }
 
 void SegmentParser::feed_byte(std::uint8_t byte) {
-  // A failed frame's bytes are re-scanned, not discarded: step() appends
-  // them (minus the false magic, so progress is guaranteed) to `pending`
-  // right after the position that exposed the failure, preserving stream
-  // order. Iterative rather than recursive — a pathological run of magic
-  // bytes would otherwise nest one re-scan per byte.
-  std::vector<std::uint8_t> pending{byte};
+  // Stays unallocated unless the byte completes a failed frame.
+  std::vector<std::uint8_t> salvage;
+  step(byte, salvage);
+  if (salvage.empty()) return;
+  // A failed frame's bytes are re-scanned, not discarded: each further
+  // failure's bytes (minus the false magic, so progress is guaranteed) go
+  // right after the position that exposed it, preserving stream order.
+  // Iterative rather than recursive — a pathological run of magic bytes
+  // would otherwise nest one re-scan per byte.
+  std::vector<std::uint8_t> pending = std::move(salvage);
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    std::vector<std::uint8_t> salvage;
+    salvage.clear();
     step(pending[i], salvage);
     if (!salvage.empty()) {
       pending.insert(pending.begin() + static_cast<std::ptrdiff_t>(i) + 1,
@@ -58,9 +62,9 @@ void SegmentParser::step(std::uint8_t byte,
   switch (state_) {
     case State::kMagic:
       if (byte == kSegmentMagic) {
-        raw_.assign(1, byte);
-        header_.clear();
+        header_len_ = 0;
         payload_.clear();
+        crc_ = 0;
         state_ = State::kHeader;
       } else {
         ++resync_bytes_;
@@ -68,14 +72,14 @@ void SegmentParser::step(std::uint8_t byte,
       return;
 
     case State::kHeader:
-      raw_.push_back(byte);
-      header_.push_back(byte);
-      if (header_.size() == kSegmentHeaderBytes - 1) {  // src,dst,len_lo,len_hi
+      header_[header_len_++] = byte;
+      crc_ = util::crc8({&byte, 1}, crc_);
+      if (header_len_ == header_.size()) {
         expected_payload_ = static_cast<std::size_t>(header_[2]) |
                             (static_cast<std::size_t>(header_[3]) << 8);
         if (expected_payload_ > max_payload_) {
           ++length_errors_;
-          salvage.assign(raw_.begin() + 1, raw_.end());
+          salvage.assign(header_.begin(), header_.end());
           state_ = State::kMagic;
           return;
         }
@@ -84,32 +88,27 @@ void SegmentParser::step(std::uint8_t byte,
       return;
 
     case State::kPayload:
-      raw_.push_back(byte);
       payload_.push_back(byte);
+      crc_ = util::crc8({&byte, 1}, crc_);
       if (payload_.size() == expected_payload_) state_ = State::kCrc;
       return;
 
-    case State::kCrc: {
-      raw_.push_back(byte);
-      std::vector<std::uint8_t> covered;
-      covered.reserve(header_.size() + payload_.size());
-      covered.insert(covered.end(), header_.begin(), header_.end());
-      covered.insert(covered.end(), payload_.begin(), payload_.end());
-      if (util::crc8(covered) == byte) {
+    case State::kCrc:
+      if (crc_ == byte) {
         RelaySegment segment;
         segment.src = header_[0];
         segment.dst = header_[1];
         segment.payload = payload_;
         ready_.push_back(std::move(segment));
         ++parsed_;
-        raw_.clear();
       } else {
         ++crc_failures_;
-        salvage.assign(raw_.begin() + 1, raw_.end());
+        salvage.assign(header_.begin(), header_.end());
+        salvage.insert(salvage.end(), payload_.begin(), payload_.end());
+        salvage.push_back(byte);
       }
       state_ = State::kMagic;
       return;
-    }
   }
 }
 

@@ -22,6 +22,7 @@
 // otherwise absorb kilobytes of good segments before the CRC exposes it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -87,16 +88,18 @@ class SegmentParser {
  private:
   enum class State { kMagic, kHeader, kPayload, kCrc };
 
-  /// Advances the state machine by one byte; on a failed frame, appends the
-  /// frame's bytes (minus its false magic) to `salvage` for re-scanning.
+  /// Advances the state machine by one byte; on a failed frame, sets
+  /// `salvage` to the frame's bytes (minus its false magic) for re-scanning.
   void step(std::uint8_t byte, std::vector<std::uint8_t>& salvage);
 
   State state_ = State::kMagic;
   std::size_t max_payload_ = kMaxSegmentPayload;
-  std::vector<std::uint8_t> raw_;  ///< bytes of the in-progress frame
-  std::vector<std::uint8_t> header_;
+  /// src, dst, len_lo, len_hi of the in-progress frame.
+  std::array<std::uint8_t, kSegmentHeaderBytes - 1> header_{};
+  std::size_t header_len_ = 0;
   std::vector<std::uint8_t> payload_;
   std::size_t expected_payload_ = 0;
+  std::uint8_t crc_ = 0;  ///< running CRC-8 over header_ and payload_
   std::vector<RelaySegment> ready_;
   std::uint64_t parsed_ = 0;
   std::uint64_t crc_failures_ = 0;

@@ -5,6 +5,7 @@
 #include "src/util/assert.hpp"
 
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace tb::sim {
@@ -149,6 +150,154 @@ TEST(Process, ManyProcessesInterleaveDeterministically) {
   // Ties (t=2: procs 0,1; t=6: procs 1,2) break by scheduling order: the
   // event scheduled earlier fires first.
   EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 20, 2, 11, 21, 12, 22}));
+}
+
+// --- Simulator::try_advance / sim::advance --------------------------------
+
+struct KernelState {
+  Time now;
+  std::uint64_t scheduled = 0;
+  std::uint64_t executed = 0;
+  std::size_t peak = 0;
+  std::size_t pending = 0;
+  bool operator==(const KernelState&) const = default;
+};
+
+KernelState state_of(const Simulator& sim) {
+  return {sim.now(), sim.scheduled_events(), sim.executed_events(),
+          sim.peak_pending_events(), sim.pending_events()};
+}
+
+// Calls try_advance(at) and checks a refusal left the kernel untouched.
+void expect_refused(Simulator& sim, Time at) {
+  const KernelState before = state_of(sim);
+  EXPECT_FALSE(sim.try_advance(at));
+  EXPECT_EQ(state_of(sim), before);
+}
+
+TEST(TryAdvance, RefusesOutsideALoop) {
+  Simulator sim;
+  sim.schedule_at(5_ms, [] {});
+  expect_refused(sim, 1_ms);
+  sim.run();
+  expect_refused(sim, 10_ms);
+}
+
+TEST(TryAdvance, RefusesUnderStep) {
+  Simulator sim;
+  bool probed = false;
+  sim.schedule_at(1_ms, [&] {
+    expect_refused(sim, 2_ms);
+    probed = true;
+  });
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(sim.now(), 1_ms);
+}
+
+TEST(TryAdvance, RefusesAfterStop) {
+  Simulator sim;
+  bool probed = false;
+  sim.schedule_at(1_ms, [&] {
+    sim.stop();
+    expect_refused(sim, 2_ms);
+    probed = true;
+  });
+  sim.run();
+  EXPECT_TRUE(probed);
+}
+
+TEST(TryAdvance, RefusesWithPerturbationHookAndNeverCallsIt) {
+  Simulator sim;
+  int hook_calls = 0;
+  sim.set_delay_perturbation([&hook_calls](Time, Time d) {
+    ++hook_calls;
+    return d;
+  });
+  bool probed = false;
+  sim.schedule_at(1_ms, [&] {
+    expect_refused(sim, 2_ms);
+    probed = true;
+  });
+  sim.run();
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(hook_calls, 0);
+}
+
+TEST(TryAdvance, RefusesPastTheRunUntilBound) {
+  Simulator sim;
+  bool probed = false;
+  sim.schedule_at(1_ms, [&] {
+    expect_refused(sim, 10_ms + Time::ns(1));
+    probed = true;
+    EXPECT_TRUE(sim.try_advance(10_ms));  // the bound itself is in range
+  });
+  sim.run_until(10_ms);
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(sim.now(), 10_ms);
+}
+
+TEST(TryAdvance, RefusesWhenAnEventIsDueAtOrBeforeTarget) {
+  Simulator sim;
+  bool probed = false;
+  sim.schedule_at(5_ms, [] {});
+  sim.schedule_at(1_ms, [&] {
+    expect_refused(sim, 5_ms);   // due exactly at `at`: the earlier seq wins
+    expect_refused(sim, 6_ms);   // due before `at`
+    expect_refused(sim, 1_ms);   // at == now()
+    expect_refused(sim, Time::zero());
+    probed = true;
+    EXPECT_TRUE(sim.try_advance(5_ms - Time::ns(1)));
+  });
+  sim.run();
+  EXPECT_TRUE(probed);
+}
+
+TEST(TryAdvance, CancelledEventsDoNotBlock) {
+  Simulator sim;
+  const EventHandle dead = sim.schedule_at(2_ms, [] {});
+  bool advanced = false;
+  sim.schedule_at(1_ms, [&] {
+    sim.cancel(dead);
+    advanced = sim.try_advance(3_ms);
+  });
+  sim.run();
+  EXPECT_TRUE(advanced);
+  EXPECT_EQ(sim.now(), 3_ms);
+}
+
+// An in-place advance must be indistinguishable from a queued resume event:
+// same counters, same peak, and the same id for the next event scheduled.
+TEST(TryAdvance, AdvanceMatchesAQueuedDelayExactly) {
+  auto run = [](bool in_place) {
+    Simulator sim;
+    std::vector<Time> seen;
+    sim.schedule_at(100_ms, [] {});
+    int advanced_in_place = 0;
+    spawn([&]() -> Task<void> {
+      co_await delay(sim, 1_ms);  // first wait: resumed by a kernel event
+      for (int i = 0; i < 5; ++i) {
+        if (!in_place) {
+          co_await delay(sim, 2_ms);
+        } else if (AdvanceAwaiter hop = advance(sim, 2_ms); hop.await_ready()) {
+          ++advanced_in_place;
+        } else {
+          co_await hop;
+        }
+        seen.push_back(sim.now());
+      }
+    });
+    sim.run_until(50_ms);
+    const std::uint64_t next_id = sim.schedule_in(1_ms, [] {}).id();
+    return std::tuple(seen, state_of(sim), next_id, advanced_in_place);
+  };
+  const auto queued = run(false);
+  const auto in_place = run(true);
+  EXPECT_EQ(std::get<3>(in_place), 5);
+  EXPECT_EQ(std::get<0>(in_place), std::get<0>(queued));
+  EXPECT_EQ(std::get<1>(in_place), std::get<1>(queued));
+  EXPECT_EQ(std::get<2>(in_place), std::get<2>(queued));
+  EXPECT_EQ(std::get<0>(queued).back(), 11_ms);
 }
 
 TEST(Task, MoveSemantics) {

@@ -2,8 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <span>
+#include <vector>
+
+#include "src/wire/frame.hpp"
+
 namespace tb::util {
 namespace {
+
+// Reference CRC: a shift register fed one message bit at a time, MSB
+// first. Written here rather than shared with src/util/crc.cpp so the
+// tables there are checked against independent code. `poly` omits the
+// x^width term; `init` seeds the register.
+std::uint32_t reference_crc_bits(std::uint64_t bits, int bit_count, int width,
+                                 std::uint32_t poly, std::uint32_t init) {
+  const std::uint32_t top = 1u << (width - 1);
+  const std::uint32_t mask = (width == 32) ? ~0u : (1u << width) - 1;
+  std::uint32_t reg = init;
+  for (int i = bit_count - 1; i >= 0; --i) {
+    const bool in = ((bits >> i) & 1) != 0;
+    const bool feedback = ((reg & top) != 0) != in;
+    reg = (reg << 1) & mask;
+    if (feedback) reg ^= poly;
+  }
+  return reg;
+}
+
+std::uint32_t reference_crc_bytes(std::span<const std::uint8_t> data,
+                                  int width, std::uint32_t poly,
+                                  std::uint32_t init) {
+  std::uint32_t reg = init;
+  for (std::uint8_t byte : data) {
+    reg = reference_crc_bits(byte, 8, width, poly, reg);
+  }
+  return reg;
+}
 
 TEST(Crc4, ZeroMessageHasZeroCrc) {
   EXPECT_EQ(crc4_itu(0, 11), 0);
@@ -39,6 +74,49 @@ TEST(Crc4, DetectsEverySingleBitError) {
       EXPECT_NE(crc4_itu(corrupted, 11), crc)
           << "body=" << body << " bit=" << bit;
     }
+  }
+}
+
+TEST(Crc4, TxTableMatchesReferenceOnAll2048Bodies) {
+  for (std::uint32_t body = 0; body < (1u << 11); ++body) {
+    const wire::TxFrame frame{static_cast<wire::Command>(body >> 8),
+                              static_cast<std::uint8_t>(body & 0xFF)};
+    const std::uint32_t expected = reference_crc_bits(body, 11, 4, 0b0011, 0);
+    EXPECT_EQ(frame.crc(), expected) << "body=" << body;
+    EXPECT_EQ(frame.encode() & 0xF, expected) << "body=" << body;
+    EXPECT_EQ(wire::TxFrame::decode(frame.encode()), frame) << "body=" << body;
+  }
+}
+
+TEST(Crc4, RxTableMatchesReferenceOnAll1024Bodies) {
+  for (std::uint32_t body = 0; body < (1u << 10); ++body) {
+    for (bool intr : {false, true}) {
+      const wire::RxFrame frame{intr, static_cast<wire::RxType>(body >> 8),
+                                static_cast<std::uint8_t>(body & 0xFF)};
+      const std::uint32_t expected = reference_crc_bits(body, 10, 4, 0b0011, 0);
+      EXPECT_EQ(frame.crc(), expected) << "body=" << body;
+      EXPECT_EQ(frame.encode() & 0xF, expected) << "body=" << body;
+      EXPECT_EQ(wire::RxFrame::decode(frame.encode()), frame)
+          << "body=" << body;
+    }
+  }
+}
+
+TEST(CrcTables, MatchReferenceOnRandomSpans) {
+  std::mt19937 rng(0xC2C);
+  std::vector<std::uint8_t> data;
+  for (int round = 0; round < 12'000; ++round) {
+    data.resize(rng() % 70);
+    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng());
+    ASSERT_EQ(crc8(data), reference_crc_bytes(data, 8, 0x07, 0))
+        << "round " << round;
+    ASSERT_EQ(crc16_ccitt(data), reference_crc_bytes(data, 16, 0x1021, 0xFFFF))
+        << "round " << round;
+    // The CRC-8 register chains across a split at any point.
+    const std::size_t cut = data.empty() ? 0 : rng() % (data.size() + 1);
+    const std::span<const std::uint8_t> all(data);
+    ASSERT_EQ(crc8(all.subspan(cut), crc8(all.first(cut))), crc8(all))
+        << "round " << round;
   }
 }
 

@@ -10,14 +10,18 @@
 // watchdog-length idles — on both levels and diff everything.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <vector>
 
+#include "src/net/tpwire_channel.hpp"
 #include "src/sim/process.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/frame_bus.hpp"
 #include "src/wire/master.hpp"
+#include "src/wire/relay.hpp"
 #include "src/wire/timing.hpp"
 #include "tests/co_gtest.hpp"
 
@@ -311,6 +315,152 @@ TEST(BusLevels, DisturbanceFallsBackAndResyncs) {
   EXPECT_GE(slow_after_recovery, 2u);
   EXPECT_EQ(bus.slow_path_cycles(), slow_after_recovery);
   EXPECT_EQ(bus.fast_path_cycles(), fast_after_recovery + 3);
+}
+
+// --- In-place hop dispatch: run() vs step() --------------------------------
+//
+// The bit-accurate bus advances the clock in place for a hop when its
+// resume event would be the next one dispatched (Simulator::try_advance).
+// step() never advances in place, so driving one copy by step() and another
+// by run_until() in random slices must give the same history. Timers land
+// exactly on hop instants — armed before a cycle, and during it by
+// zero-delay re-arms — so a hop that jumped ahead of an event due at the
+// same instant shows up in the slaves' frames_observed at that timer.
+
+struct TimerRecord {
+  sim::Time at;
+  int tag = 0;
+  std::vector<std::uint64_t> frames_observed;
+  bool operator==(const TimerRecord&) const = default;
+  friend void PrintTo(const TimerRecord& r, std::ostream* os) {
+    *os << "{at " << r.at.count_ns() << " ns, tag " << r.tag
+        << ", frames_observed";
+    for (std::uint64_t n : r.frames_observed) *os << ' ' << n;
+    *os << '}';
+  }
+};
+
+struct KernelRun {
+  std::vector<TimerRecord> timers;
+  std::vector<CycleTrace> traces;
+  std::uint64_t executed = 0;
+  std::uint64_t scheduled = 0;
+  std::size_t peak_pending = 0;
+  std::uint64_t next_event_id = 0;
+};
+
+KernelRun run_relay_rig(bool by_step, std::uint64_t seed) {
+  constexpr int kSlaves = 5;
+  const sim::Time horizon = sim::Time::sec(3);
+  KernelRun out;
+  sim::Simulator sim(seed);
+  LinkConfig link;
+  OneWireBus bus(sim, link);
+  std::vector<std::unique_ptr<SlaveDevice>> slaves;
+  std::vector<std::uint8_t> ids;
+  for (int i = 0; i < kSlaves; ++i) {
+    slaves.push_back(std::make_unique<SlaveDevice>(
+        sim, static_cast<std::uint8_t>(i + 1), link));
+    bus.attach(*slaves.back());
+    ids.push_back(static_cast<std::uint8_t>(i + 1));
+  }
+  Master master(bus);
+  RelayConfig relay_config;
+  relay_config.poll_period = sim::Time::ms(20);
+  MasterRelay relay(master, ids, relay_config);
+  net::CbrParams cbr_params;
+  cbr_params.rate_bytes_per_sec = 40.0;
+  cbr_params.packet_size = 8;
+  net::WireCbrSource cbr(sim, *slaves[1], /*dst_node=*/4, cbr_params);
+  net::WireSink sink(sim, *slaves[3]);
+
+  std::mt19937 rng(static_cast<std::uint32_t>(seed));
+  int next_tag = 0;
+  std::function<void(int)> fire = [&](int tag) {
+    TimerRecord record{sim.now(), tag, {}};
+    for (const auto& slave : slaves) {
+      record.frames_observed.push_back(slave->stats().frames_observed);
+    }
+    out.timers.push_back(std::move(record));
+    const int roll = static_cast<int>(rng() % 4);
+    if (roll == 0) {
+      // Re-arm during the cycle, due at this very hop instant.
+      const int zero_tag = ++next_tag;
+      sim.schedule_in(sim::Time::zero(), [&fire, zero_tag] { fire(zero_tag); });
+    } else if (roll == 1) {
+      const int hop_tag = ++next_tag;
+      sim.schedule_in(link.hop_delay(), [&fire, hop_tag] { fire(hop_tag); });
+    }
+  };
+  // A cycle that follows at once starts when this one ends: arm timers on
+  // a random subset of its hop instants before it begins.
+  bus.on_cycle().connect([&](const CycleTrace& trace) {
+    out.traces.push_back(trace);
+    const sim::Time tx_end = trace.end + link.frame_duration();
+    for (int hop = 0; hop <= kSlaves + 1; ++hop) {
+      if (rng() % 3 != 0) continue;
+      const int tag = ++next_tag;
+      sim.schedule_at(tx_end + link.hop_delay() * hop,
+                      [&fire, tag] { fire(tag); });
+    }
+  });
+
+  relay.start();
+  cbr.start();
+  if (by_step) {
+    for (std::optional<sim::Time> next = sim.next_event_time();
+         next && *next <= horizon; next = sim.next_event_time()) {
+      sim.step();
+    }
+  } else {
+    std::mt19937 slices(static_cast<std::uint32_t>(seed * 7 + 1));
+    while (sim.now() < horizon) {
+      const sim::Time slice =
+          link.hop_delay() * static_cast<std::int64_t>(slices() % 200);
+      sim.run_until(std::min(horizon, sim.now() + slice));
+    }
+  }
+  out.executed = sim.executed_events();
+  out.scheduled = sim.scheduled_events();
+  out.peak_pending = sim.peak_pending_events();
+  out.next_event_id = sim.schedule_in(sim::Time::zero(), [] {}).id();
+
+  // Let the relay's coroutines finish before the simulator goes away.
+  fire = [](int) {};
+  cbr.stop();
+  relay.stop();
+  sim.run_until(sim.now() + sim::Time::sec(5));
+  return out;
+}
+
+TEST(BusLevels, InPlaceHopsMatchStepByStepDispatch) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const KernelRun stepped = run_relay_rig(/*by_step=*/true, seed);
+    const KernelRun sliced = run_relay_rig(/*by_step=*/false, seed);
+    ASSERT_GT(stepped.traces.size(), 100u) << "seed " << seed;
+    ASSERT_GT(stepped.timers.size(), 100u) << "seed " << seed;
+    ASSERT_EQ(stepped.timers.size(), sliced.timers.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < stepped.timers.size(); ++i) {
+      ASSERT_EQ(stepped.timers[i], sliced.timers[i])
+          << "seed " << seed << " timer " << i << " at "
+          << stepped.timers[i].at.count_ns() << " ns";
+    }
+    ASSERT_EQ(stepped.traces.size(), sliced.traces.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < stepped.traces.size(); ++i) {
+      const CycleTrace& a = stepped.traces[i];
+      const CycleTrace& b = sliced.traces[i];
+      EXPECT_EQ(a.start, b.start) << "seed " << seed << " cycle " << i;
+      EXPECT_EQ(a.end, b.end) << "seed " << seed << " cycle " << i;
+      EXPECT_EQ(a.tx_word, b.tx_word) << "seed " << seed << " cycle " << i;
+      EXPECT_EQ(a.rx_word, b.rx_word) << "seed " << seed << " cycle " << i;
+      EXPECT_EQ(a.responder, b.responder) << "seed " << seed << " cycle " << i;
+      EXPECT_EQ(a.status, b.status) << "seed " << seed << " cycle " << i;
+    }
+    EXPECT_EQ(stepped.executed, sliced.executed) << "seed " << seed;
+    EXPECT_EQ(stepped.scheduled, sliced.scheduled) << "seed " << seed;
+    EXPECT_EQ(stepped.peak_pending, sliced.peak_pending) << "seed " << seed;
+    EXPECT_EQ(stepped.next_event_id, sliced.next_event_id) << "seed " << seed;
+  }
 }
 
 TEST(BusLevels, ParseAndFormatLevels) {
