@@ -81,7 +81,10 @@ ImpactResult run_impact(const ImpactConfig& config) {
 
   scenario.start();
   if (config.cbr_rate_bps > 0.0) cbr.start();
-  sim::spawn(impact_client_flow(config, scenario.sim(), client, result));
+  // Owned, not spawned: an "Out of Time" flow is still parked at the end.
+  sim::Task<void> flow =
+      impact_client_flow(config, scenario.sim(), client, result);
+  flow.start();
 
   scenario.sim().run_until(config.max_sim_time);
 
@@ -89,10 +92,6 @@ ImpactResult run_impact(const ImpactConfig& config) {
   result.bus_cycles = scenario.bus().stats().cycles;
   result.relay_bytes = scenario.relay().stats().bytes_drained;
   result.cbr_packets_delivered = sink.segments_received();
-
-  // Let the relay's coroutines finish so none outlives the simulator.
-  cbr.stop();
-  scenario.shutdown();
   return result;
 }
 
@@ -169,9 +168,8 @@ ImpactResult run_impact_mode_b(const ImpactConfig& config) {
 
   rig.relay.start();
   if (config.cbr_rate_bps > 0.0) cbr.start();
-  sim::spawn([&config, &rig, &result]() -> sim::Task<void> {
-    co_await impact_client_flow(config, rig.sim, rig.client, result);
-  });
+  sim::Task<void> flow = impact_client_flow(config, rig.sim, rig.client, result);
+  flow.start();
 
   rig.sim.run_until(config.max_sim_time);
 
@@ -181,12 +179,6 @@ ImpactResult run_impact_mode_b(const ImpactConfig& config) {
       rig.system.bus(0).stats().cycles + rig.system.bus(1).stats().cycles;
   result.relay_bytes = rig.relay.stats().bytes_drained;
   result.cbr_packets_delivered = sink.segments_received();
-
-  // As WireScenario::shutdown(): stop the relay, then run the clock until
-  // its poll and push loops see the flag and complete their frames.
-  cbr.stop();
-  rig.relay.stop();
-  rig.sim.run_until(rig.sim.now() + sim::Time::sec(5));
   return result;
 }
 

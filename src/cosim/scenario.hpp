@@ -98,15 +98,10 @@ class WireScenario {
 
   WireScenario(const WireScenario&) = delete;
   WireScenario& operator=(const WireScenario&) = delete;
-  ~WireScenario();
 
   /// Starts the master relay (must run for any slave-to-slave traffic).
+  /// The relay's loop lives until the scenario is destroyed.
   void start();
-
-  /// Stops the relay and lets its poll coroutine run to completion so no
-  /// suspended frame outlives the simulator (keeps sanitized runs clean).
-  /// Call after the workload, before reading end-of-run assertions.
-  void shutdown();
 
   /// Creates a space client whose transport lives on the given slave.
   mw::SpaceClient& add_client(int slave_index,
@@ -149,7 +144,6 @@ class WireScenario {
   std::unique_ptr<wire::BusModel> bus_;
   std::vector<std::unique_ptr<wire::SlaveDevice>> slaves_;
   std::unique_ptr<wire::Master> master_;
-  std::unique_ptr<wire::MasterRelay> relay_;
   std::unique_ptr<mw::Codec> codec_;
   std::unique_ptr<space::SpaceEngine> space_;
   std::unique_ptr<mw::WireServerTransport> server_transport_;
@@ -163,6 +157,9 @@ class WireScenario {
     std::unique_ptr<mw::SpaceClient> client;
   };
   std::vector<ClientSlot> clients_;
+  // Last, so its loop is destroyed before anything the loop may touch
+  // (a parked bus cycle can schedule through the fault plan's delay hook).
+  std::unique_ptr<wire::MasterRelay> relay_;
 };
 
 }  // namespace tb::cosim

@@ -12,20 +12,35 @@
 //   }
 //   spawn(producer(sim, ...));   // detached: runs to completion
 //
-// Tasks are lazy: nothing runs until the task is spawned or co_awaited.
-// A co_awaited child propagates its exception to the awaiting parent; an
-// exception escaping a detached process propagates out of Simulator::run().
+// Tasks are lazy: nothing runs until the task is spawned, started or
+// co_awaited. A co_awaited child propagates its exception to the awaiting
+// parent; an exception escaping a spawned or started process propagates out
+// of Simulator::run().
+//
+// spawn or start: spawn(task) detaches a process whose frame frees itself
+// when it finishes; use it only for processes sure to finish within the run.
+// task.start() keeps the frame in the Task, so destroying the Task destroys
+// the process, finished or still suspended — a SystemC process lives as
+// long as its module. A component holds each loop as a Task<void> member
+// declared LAST, so it is destroyed before anything its locals touch.
+// Destroying a suspended process runs its locals' destructors without
+// resuming it: do it only once the simulator will dispatch nothing more
+// (DESIGN.md §8 "Process lifetime").
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/simulator.hpp"
 #include "src/util/assert.hpp"
 
 namespace tb::sim {
+
+template <typename T = void>
+class [[nodiscard]] Task;
 
 namespace detail {
 
@@ -37,9 +52,14 @@ namespace detail {
 /// per-thread (the threaded runtime runs a simulator per thread); a frame
 /// freed on a foreign thread just migrates lists, which stays safe because
 /// each list is only ever touched by its owning thread.
+///
+/// Under AddressSanitizer every frame goes straight to ::operator new and
+/// delete instead: a recycled block would hide a resume-after-destroy from
+/// ASan and make LeakSanitizer blame whichever frame first allocated it.
 class FrameArena {
  public:
   static void* allocate(std::size_t n) {
+    if constexpr (kSanitized) return ::operator new(n);
     const std::size_t cls = (n + kGranularity - 1) / kGranularity;
     if (cls == 0 || cls > kClasses) return ::operator new(n);
     List& list = tls().lists[cls - 1];
@@ -54,7 +74,9 @@ class FrameArena {
 
   static void release(void* p, std::size_t n) noexcept {
     const std::size_t cls = (n + kGranularity - 1) / kGranularity;
-    List* list = cls >= 1 && cls <= kClasses ? &tls().lists[cls - 1] : nullptr;
+    List* list = !kSanitized && cls >= 1 && cls <= kClasses
+                     ? &tls().lists[cls - 1]
+                     : nullptr;
     if (list == nullptr || list->count >= kMaxPerClass) {
       ::operator delete(p);
       return;
@@ -63,6 +85,15 @@ class FrameArena {
     block->next = list->head;
     list->head = block;
     ++list->count;
+  }
+
+  /// Takes a detached frame whose exception is escaping Simulator::run():
+  /// no owner is left to free it, and only its promise and parameters
+  /// remain. It is destroyed on the next escape on this thread, or at
+  /// thread exit.
+  static void park_escaped(std::coroutine_handle<> frame) noexcept {
+    std::coroutine_handle<> previous = std::exchange(tls().escaped, frame);
+    if (previous) previous.destroy();
   }
 
  private:
@@ -75,7 +106,9 @@ class FrameArena {
   };
   struct Tls {
     List lists[16];
+    std::coroutine_handle<> escaped;
     ~Tls() {  // drain so thread exit leaks nothing
+      if (escaped) std::exchange(escaped, nullptr).destroy();
       for (List& list : lists) {
         while (list.head != nullptr) {
           Block* block = list.head;
@@ -86,6 +119,13 @@ class FrameArena {
     }
   };
 
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+  static constexpr bool kSanitized = __has_feature(address_sanitizer);
+#else
+  static constexpr bool kSanitized = false;
+#endif
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kClasses = 16;
   static constexpr std::size_t kMaxPerClass = 256;
@@ -106,7 +146,8 @@ struct PromiseBase {
 
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
-  bool detached = false;
+  bool detached = false;  ///< spawned: the frame frees itself at the end
+  bool root = false;      ///< spawned or started: no parent awaits it
 
   struct FinalAwaiter {
     bool detached;
@@ -121,9 +162,29 @@ struct PromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {detached, continuation}; }
+};
 
+template <typename T>
+struct ReturnSlot {
+  std::optional<T> value;
+  void return_value(T v) { value = std::move(v); }
+};
+
+template <>
+struct ReturnSlot<void> {
+  void return_void() noexcept {}
+};
+
+template <typename T>
+struct Promise : PromiseBase, ReturnSlot<T> {
+  Task<T> get_return_object() {
+    return Task<T>(std::coroutine_handle<Promise>::from_promise(*this));
+  }
   void unhandled_exception() {
-    if (detached) throw;  // surfaces through Simulator::run()
+    if (detached) {
+      FrameArena::park_escaped(std::coroutine_handle<Promise>::from_promise(*this));
+    }
+    if (root) throw;  // surfaces through Simulator::run()
     exception = std::current_exception();
   }
 };
@@ -132,18 +193,10 @@ struct PromiseBase {
 
 /// Lazily started coroutine returning T. Move-only; owns the frame unless
 /// detached via spawn().
-template <typename T = void>
-class [[nodiscard]] Task;
-
-template <>
-class [[nodiscard]] Task<void> {
+template <typename T>
+class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() noexcept {}
-  };
+  using promise_type = detail::Promise<T>;
   using handle_type = std::coroutine_handle<promise_type>;
 
   Task() = default;
@@ -174,78 +227,32 @@ class [[nodiscard]] Task<void> {
         h.promise().continuation = cont;
         return h;
       }
-      void await_resume() {
-        if (h && h.promise().exception) std::rethrow_exception(h.promise().exception);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
-  /// Releases ownership: the frame destroys itself on completion.
-  handle_type release_detached() {
-    TB_REQUIRE(handle_ != nullptr);
-    handle_.promise().detached = true;
-    return std::exchange(handle_, nullptr);
-  }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-  handle_type handle_ = nullptr;
-};
-
-template <typename T>
-class [[nodiscard]] Task {
- public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_value(T v) { value = std::move(v); }
-  };
-  using handle_type = std::coroutine_handle<promise_type>;
-
-  Task() = default;
-  explicit Task(handle_type h) : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
-  }
-  ~Task() { destroy(); }
-
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-
-  bool valid() const { return handle_ != nullptr; }
-  bool done() const { return !handle_ || handle_.done(); }
-
-  auto operator co_await() && {
-    struct Awaiter {
-      handle_type h;
-      bool await_ready() const { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-        h.promise().continuation = cont;
-        return h;
-      }
       T await_resume() {
-        if (h.promise().exception) std::rethrow_exception(h.promise().exception);
-        TB_ASSERT(h.promise().value.has_value());
-        return std::move(*h.promise().value);
+        if (h && h.promise().exception) std::rethrow_exception(h.promise().exception);
+        if constexpr (!std::is_void_v<T>) {
+          TB_ASSERT(h.promise().value.has_value());
+          return std::move(*h.promise().value);
+        }
       }
     };
     return Awaiter{handle_};
   }
 
+  /// Runs the task as an owned process: synchronously to its first
+  /// suspension, then under simulator control, exactly as spawn() would —
+  /// but the frame stays with this Task, which destroys it (finished or
+  /// still suspended) when it is itself destroyed or reassigned.
+  void start()
+    requires std::is_void_v<T>
+  {
+    TB_REQUIRE_MSG(handle_ != nullptr, "cannot start an empty task");
+    TB_REQUIRE_MSG(!handle_.promise().root, "task already started");
+    handle_.promise().root = true;
+    handle_.resume();
+  }
+
  private:
+  friend void spawn(Task<void> task);
   void destroy() {
     if (handle_) {
       handle_.destroy();
@@ -264,7 +271,12 @@ class [[nodiscard]] Task {
 /// only points to. `spawn(lambda())` would therefore dangle once the
 /// temporary closure dies — use the callable overload below, which copies
 /// the closure into a wrapper frame that owns it for the process lifetime.
-void spawn(Task<void> task);
+inline void spawn(Task<void> task) {
+  TB_REQUIRE_MSG(task.valid(), "cannot spawn an empty task");
+  const Task<void>::handle_type handle = std::exchange(task.handle_, nullptr);
+  handle.promise().detached = handle.promise().root = true;
+  handle.resume();  // run to the first suspension point (or completion)
+}
 
 namespace detail {
 /// Wrapper frame that keeps the closure alive for the whole process.

@@ -56,7 +56,8 @@ ActuatorAgent::ActuatorAgent(SpaceApi& api, std::string agent_id, int rank,
 void ActuatorAgent::start() {
   TB_REQUIRE_MSG(state_ == State::kIdle, "agent already started");
   state_ = State::kElecting;
-  sim::spawn(run());
+  process_ = run();
+  process_.start();
 }
 
 sim::Task<void> ActuatorAgent::run() {
@@ -154,7 +155,8 @@ StandbyGuard::StandbyGuard(SpaceApi& api, std::uint32_t watched_node,
 void StandbyGuard::start() {
   TB_REQUIRE_MSG(state_ == State::kIdle, "guard already started");
   state_ = State::kWatching;
-  sim::spawn(run());
+  process_ = run();
+  process_.start();
 }
 
 sim::Task<void> StandbyGuard::run() {

@@ -54,7 +54,7 @@ class ActuatorAgent {
                 FailoverConfig config,
                 std::function<void(std::uint64_t tick)> actuate = {});
 
-  /// Spawns the agent process (election, then the role loop).
+  /// Starts the agent process (election, then the role loop).
   void start();
 
   /// Crash injection: the agent stops doing anything from now on.
@@ -86,6 +86,7 @@ class ActuatorAgent {
   std::function<void(std::uint64_t)> actuate_;
   State state_ = State::kIdle;
   Stats stats_;
+  sim::Task<void> process_;  ///< last: destroyed before what it uses
 };
 
 /// The control agent of step 1: arms the election and waits for an actuator
@@ -129,7 +130,7 @@ class StandbyGuard {
   StandbyGuard(SpaceApi& api, std::uint32_t watched_node,
                FailoverConfig config, std::function<void()> promote);
 
-  /// Spawns the watch loop.
+  /// Starts the watch loop.
   void start();
   /// Stops a watching guard (e.g. controlled shutdown); no promotion runs.
   void stop() { stopped_ = true; }
@@ -159,6 +160,7 @@ class StandbyGuard {
   State state_ = State::kIdle;
   bool stopped_ = false;
   Stats stats_;
+  sim::Task<void> process_;  ///< last: destroyed before what it uses
 };
 
 }  // namespace tb::svc

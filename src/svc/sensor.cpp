@@ -47,9 +47,10 @@ SensorAgent::SensorAgent(wire::Master& master, SpaceApi& api,
 }
 
 void SensorAgent::start() {
-  TB_REQUIRE_MSG(!running_, "sensor agent already running");
+  TB_REQUIRE_MSG(process_.done(), "sensor loop still running");
   running_ = true;
-  sim::spawn(run());
+  process_ = run();
+  process_.start();
 }
 
 sim::Task<std::optional<std::int16_t>> SensorAgent::sample() {

@@ -95,6 +95,7 @@ class SensorAgent {
   SensorAgentConfig config_;
   bool running_ = false;
   Stats stats_;
+  sim::Task<void> process_;  ///< last: destroyed before what it uses
 };
 
 }  // namespace tb::svc

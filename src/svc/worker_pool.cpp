@@ -44,9 +44,10 @@ FftConsumer::FftConsumer(SpaceApi& api, std::string consumer_id,
     : api_(&api), id_(std::move(consumer_id)), config_(config) {}
 
 void FftConsumer::start() {
-  TB_REQUIRE_MSG(!running_, "consumer already running");
+  TB_REQUIRE_MSG(process_.done(), "consumer loop still running");
   running_ = true;
-  sim::spawn(run());
+  process_ = run();
+  process_.start();
 }
 
 sim::Task<void> FftConsumer::run() {

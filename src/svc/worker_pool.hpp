@@ -49,6 +49,7 @@ class FftConsumer {
   ConsumerConfig config_;
   bool running_ = false;
   std::uint64_t jobs_done_ = 0;
+  sim::Task<void> process_;  ///< last: destroyed before what it uses
 };
 
 struct ProducerConfig {

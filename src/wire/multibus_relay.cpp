@@ -23,16 +23,21 @@ MultiBusRelay::MultiBusRelay(MultiBusSystem& system,
 }
 
 void MultiBusRelay::start() {
-  TB_REQUIRE_MSG(!running_, "relay already running");
+  TB_REQUIRE_MSG(std::all_of(processes_.begin(), processes_.end(),
+                             [](const sim::Task<void>& p) { return p.done(); }),
+                 "relay loops still running");
   for (int b = 0; b < system_->bus_count(); ++b) {
     TB_REQUIRE_MSG(
         config_.poll_period < system_->bus(b).link().reset_timeout(),
         "poll period exceeds the slave reset watchdog");
   }
   running_ = true;
+  processes_.clear();
   for (int b = 0; b < system_->bus_count(); ++b) {
-    sim::spawn(poll_loop(b));
-    sim::spawn(push_loop(b));
+    processes_.push_back(poll_loop(b));
+    processes_.back().start();
+    processes_.push_back(push_loop(b));
+    processes_.back().start();
   }
 }
 

@@ -37,7 +37,6 @@ class MultiBusRelay {
 
   void start();
   void stop() { running_ = false; }
-  bool running() const { return running_; }
 
   const MasterRelay::Stats& stats() const { return stats_; }
 
@@ -64,6 +63,7 @@ class MultiBusRelay {
   std::unordered_map<std::uint8_t, SegmentParser> parsers_;
   std::vector<std::unique_ptr<BusQueue>> queues_;  ///< one per bus
   MasterRelay::Stats stats_;  ///< aggregated over all buses
+  std::vector<sim::Task<void>> processes_;  ///< last: destroyed first
 };
 
 }  // namespace tb::wire

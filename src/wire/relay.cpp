@@ -14,12 +14,13 @@ MasterRelay::MasterRelay(Master& master, std::vector<std::uint8_t> nodes,
 }
 
 void MasterRelay::start() {
-  TB_REQUIRE_MSG(!running_, "relay already running");
+  TB_REQUIRE_MSG(process_.done(), "relay loop still running");
   TB_REQUIRE_MSG(config_.poll_period < master_->bus().link().reset_timeout(),
                  "poll period exceeds the slave reset watchdog: idle slaves "
                  "would reset and lose their mailboxes between polls");
   running_ = true;
-  sim::spawn(run());
+  process_ = run();
+  process_.start();
 }
 
 sim::Task<void> MasterRelay::run() {

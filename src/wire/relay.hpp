@@ -55,10 +55,10 @@ class MasterRelay {
   MasterRelay(Master& master, std::vector<std::uint8_t> nodes,
               RelayConfig config = {});
 
-  /// Spawns the relay process. Runs until stop().
+  /// Starts the relay process; it runs until stop(). A restart requires
+  /// the previous loop to have seen stop() and finished.
   void start();
   void stop() { running_ = false; }
-  bool running() const { return running_; }
 
   struct Stats {
     std::uint64_t rounds = 0;
@@ -81,6 +81,7 @@ class MasterRelay {
   bool running_ = false;
   std::unordered_map<std::uint8_t, SegmentParser> parsers_;
   Stats stats_;
+  sim::Task<void> process_;  ///< last: destroyed before what it uses
 };
 
 }  // namespace tb::wire

@@ -63,7 +63,6 @@ ChaosRun run_chaos(std::uint64_t fault_seed, const std::string& trace_path) {
     }
   });
   scenario.sim().run_until(sim::Time::sec(120));
-  scenario.shutdown();
 
   scenario.checker().finish();
   EXPECT_TRUE(scenario.checker().ok()) << scenario.checker().report();

@@ -220,7 +220,6 @@ TEST(FaultScenario, BitErrorsNeverCorruptTuplePayloads) {
     }
   });
   scenario.sim().run_until(sim::Time::sec(600));
-  scenario.shutdown();
 
   EXPECT_EQ(completed, kRounds);
   // The plan must actually have flipped bits for this test to mean anything.

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/comutex.hpp"
 #include "src/util/assert.hpp"
+#include "src/wire/bus.hpp"
+#include "src/wire/master.hpp"
+#include "src/wire/relay.hpp"
+#include "src/wire/slave.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -314,6 +320,94 @@ TEST(Task, MoveSemantics) {
 TEST(Task, SpawnRejectsEmpty) {
   Task<void> empty;
   EXPECT_THROW(spawn(std::move(empty)), util::PreconditionError);
+}
+
+// --- Task::start: owned processes -------------------------------------------
+
+// The frame holds a copy of the shared_ptr: use_count() shows if it lives.
+Task<void> sleep_holding(Simulator& sim, CoMutex& mutex,
+                         std::shared_ptr<int> /*alive*/, bool& resumed) {
+  co_await mutex.lock();
+  CoMutex::Guard guard(mutex);
+  co_await delay(sim, 10_ms);
+  resumed = true;
+}
+
+TEST(StartedTask, DestroyedWhileSuspendedRunsLocalDestructorsWithoutResuming) {
+  Simulator sim;
+  CoMutex mutex(sim);
+  auto alive = std::make_shared<int>();
+  bool resumed = false;
+  {
+    Task<void> task = sleep_holding(sim, mutex, alive, resumed);
+    task.start();  // runs to the delay, holding the mutex
+    EXPECT_FALSE(task.done());
+    EXPECT_TRUE(mutex.locked());
+    EXPECT_EQ(alive.use_count(), 2);
+  }
+  EXPECT_EQ(alive.use_count(), 1);
+  EXPECT_FALSE(mutex.locked());  // the Guard released it
+  EXPECT_FALSE(resumed);
+}
+
+TEST(StartedTask, FinishedTaskIsDoneAndFreesItsFrameWhenDestroyed) {
+  Simulator sim;
+  CoMutex mutex(sim);
+  auto alive = std::make_shared<int>();
+  bool resumed = false;
+  {
+    Task<void> task = sleep_holding(sim, mutex, alive, resumed);
+    task.start();
+    EXPECT_THROW(task.start(), util::PreconditionError);  // started once
+    sim.run();
+    EXPECT_TRUE(task.done());
+    EXPECT_TRUE(resumed);
+    EXPECT_EQ(alive.use_count(), 2);  // a finished frame lives on in its Task
+  }
+  EXPECT_EQ(alive.use_count(), 1);
+  Task<void> empty;
+  EXPECT_THROW(empty.start(), util::PreconditionError);
+}
+
+Task<void> await_throwing_child(Simulator& sim) {
+  (void)co_await throws_after_delay(sim);
+}
+
+TEST(StartedTask, ExceptionEscapesRun) {
+  Simulator sim;
+  Task<void> task = await_throwing_child(sim);
+  task.start();
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_TRUE(task.done());
+}
+
+Task<void> ping_once(wire::Master& master, std::uint8_t node, bool& pinged) {
+  (void)co_await master.ping(node);
+  pinged = true;
+}
+
+// The relay's loop is parked inside Master::ping, under the master's
+// CoMutex, with a second process queued on it. Destroying the relay hands
+// the mutex on; destroying the rest of the rig must be ASan-clean.
+TEST(StartedTask, RelayDestroyedInsidePingUnderTheMasterMutex) {
+  Simulator sim;
+  wire::LinkConfig link;
+  wire::OneWireBus bus(sim, link);
+  wire::SlaveDevice slave1(sim, 1, link), slave2(sim, 2, link);
+  bus.attach(slave1);
+  bus.attach(slave2);
+  wire::Master master(bus);
+  auto relay = std::make_unique<wire::MasterRelay>(
+      master, std::vector<std::uint8_t>{1, 2});
+  relay->start();  // runs into its first probe's bus cycle
+  ASSERT_EQ(relay->stats().probes, 1u);
+  bool pinged = false;
+  Task<void> contender = ping_once(master, 2, pinged);
+  contender.start();  // queues on the master's mutex
+  const std::size_t pending = sim.pending_events();
+  relay.reset();
+  EXPECT_EQ(sim.pending_events(), pending + 1);  // the contender's wake-up
+  EXPECT_FALSE(pinged);
 }
 
 }  // namespace

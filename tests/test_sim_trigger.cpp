@@ -26,15 +26,19 @@ TEST(Trigger, NotifyAllWakesEveryWaiter) {
   EXPECT_EQ(trigger.waiter_count(), 0u);
 }
 
+Task<void> wait_then_record(Trigger& trigger, std::vector<int>& order, int i) {
+  co_await trigger.wait();
+  order.push_back(i);
+}
+
 TEST(Trigger, NotifyOneWakesFifo) {
   Simulator sim;
   Trigger trigger(sim);
   std::vector<int> order;
+  std::vector<Task<void>> waiters;  // owned: the last one stays parked
   for (int i = 0; i < 3; ++i) {
-    spawn([&, i]() -> Task<void> {
-      co_await trigger.wait();
-      order.push_back(i);
-    });
+    waiters.push_back(wait_then_record(trigger, order, i));
+    waiters.back().start();
   }
   sim.schedule_at(1_ms, [&] { trigger.notify_one(); });
   sim.schedule_at(2_ms, [&] { trigger.notify_one(); });

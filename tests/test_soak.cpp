@@ -92,8 +92,6 @@ TEST(Soak, HoursOfMixedTrafficOnTheFigure7Stack) {
   // Horizon: one simulated minute per round, doubled for slack (the
   // default 60 rounds soak 2 simulated hours).
   scenario.sim().run_until(sim::Time::sec(kRounds * 2 * 60));
-  cbr.stop();
-  scenario.shutdown();
 
   EXPECT_EQ(a_completed, kRounds);
   EXPECT_EQ(b_completed, kRounds);

@@ -128,8 +128,6 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, int shard_count = 1) {
   });
 
   scenario.sim().run_until(sim::Time::sec(3'600));
-  cbr.stop();
-  scenario.shutdown();
 
   outcome.bits_flipped = scenario.fault_plan().stats().bits_flipped;
   outcome.retries = scenario.master().stats().retries;

@@ -200,13 +200,13 @@ TEST_F(StandbyGuardTest, HealthyPrimaryIsNeverPromotedOver) {
   int promoted = 0;
   StandbyGuard guard(api_, 1, config(), [&] { ++promoted; });
   guard.start();
-  sim::spawn(beat_then_die(1, 40));
+  sim::Task<void> primary = beat_then_die(1, 40);  // still beating at 3 s
+  primary.start();
   sim_.run_until(3_s);
 
   EXPECT_EQ(guard.state(), StandbyGuard::State::kWatching);
   EXPECT_EQ(promoted, 0);
   EXPECT_GT(guard.stats().heartbeats_consumed, 10u);
-  guard.stop();
 }
 
 TEST_F(StandbyGuardTest, SilenceTriggersExactlyOnePromotion) {
@@ -252,7 +252,6 @@ TEST_F(StandbyGuardTest, CannotStartTwice) {
   StandbyGuard guard(api_, 1, config(), {});
   guard.start();
   EXPECT_THROW(guard.start(), util::PreconditionError);
-  guard.stop();
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ TEST_F(WorkerTest, SingleConsumerCompletesAllJobs) {
     result = co_await producer.run();
   });
   sim_.run_until(60_s);
-  consumer.stop();
 
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->completed, 8u);
@@ -76,7 +75,6 @@ TEST_F(WorkerTest, ResultsCarryRealSpectra) {
     response = co_await api_.take(std::move(tmpl), 30_s);
   });
   sim_.run_until(60_s);
-  consumer.stop();
 
   ASSERT_TRUE(response.has_value());
   const std::vector<double> magnitudes =
@@ -120,7 +118,6 @@ TEST_F(WorkerTest, ThroughputScalesWithConsumers) {
     }
     sim.run_until(600_s);
     EXPECT_EQ(finished, kProducers);
-    for (auto& c : pool) c->stop();
     return all_done;
   };
 

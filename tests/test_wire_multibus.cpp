@@ -87,6 +87,15 @@ TEST(MultiBus, ParallelBusesMultiplyThroughput) {
   EXPECT_EQ(one, four);
 }
 
+sim::Task<void> ping_forever(MultiBusSystem& system, std::uint8_t node,
+                             std::uint64_t& total) {
+  while (true) {
+    PingResult r = co_await system.master_for_node(node).ping(node);
+    if (!r.ok()) co_return;
+    ++total;
+  }
+}
+
 TEST(MultiBus, AggregateRateScalesLinearly) {
   // Measure aggregate cycles completed in a fixed window for n in {1,2,4}.
   auto cycles_in_window = [&](int buses) {
@@ -94,22 +103,18 @@ TEST(MultiBus, AggregateRateScalesLinearly) {
     LinkConfig link;
     MultiBusSystem system(sim, link, buses);
     std::vector<std::unique_ptr<SlaveDevice>> slaves;
-    auto total = std::make_shared<std::uint64_t>(0);
+    std::uint64_t total = 0;
+    std::vector<sim::Task<void>> pingers;  // owned: still pinging at the end
     for (int b = 0; b < buses; ++b) {
       slaves.push_back(std::make_unique<SlaveDevice>(
           sim, static_cast<std::uint8_t>(b + 1), system.bus(b).link()));
       system.attach(b, *slaves.back());
-      sim::spawn([&system, total, node = static_cast<std::uint8_t>(b + 1)](
-                 ) -> sim::Task<void> {
-        while (true) {
-          PingResult r = co_await system.master_for_node(node).ping(node);
-          if (!r.ok()) co_return;
-          ++*total;
-        }
-      });
+      pingers.push_back(
+          ping_forever(system, static_cast<std::uint8_t>(b + 1), total));
+      pingers.back().start();
     }
     sim.run_until(1_s);
-    return *total;
+    return total;
   };
 
   const auto one = cycles_in_window(1);
@@ -154,7 +159,6 @@ TEST(MultiBusRelay, ForwardsWithinOneBus) {
   rig.slaves[0]->host_send(encode_segment({1, 2, {0x11}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   SegmentParser parser;
   parser.feed(rig.slaves[1]->host_receive());
   auto got = parser.next();
@@ -167,7 +171,6 @@ TEST(MultiBusRelay, ForwardsAcrossBuses) {
   rig.slaves[0]->host_send(encode_segment({1, 4, {0xCC, 0xDD}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   SegmentParser parser;
   parser.feed(rig.slaves[3]->host_receive());
   auto got = parser.next();
@@ -186,7 +189,6 @@ TEST(MultiBusRelay, CrossBusPushDoesNotStarveSourceBusWatchdog) {
   rig.slaves[0]->host_send(encode_segment(segment));
   rig.relay.start();
   rig.sim.run_until(30_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.slaves[0]->stats().resets, 0u);
   EXPECT_EQ(rig.slaves[1]->stats().resets, 0u);
   SegmentParser parser;
@@ -201,7 +203,6 @@ TEST(MultiBusRelay, BroadcastFansOutToAllBuses) {
   rig.slaves[1]->host_send(encode_segment({2, kBroadcastNodeId, {0x7E}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   for (int i = 0; i < 4; ++i) {
     SegmentParser parser;
     parser.feed(rig.slaves[i]->host_receive());
@@ -214,7 +215,6 @@ TEST(MultiBusRelay, UnknownDestinationDropped) {
   rig.slaves[0]->host_send(encode_segment({1, 99, {0x01}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.relay.stats().segments_dropped, 1u);
 }
 
@@ -226,7 +226,6 @@ TEST(MultiBusRelay, CountsCorruptSegments) {
   rig.slaves[0]->host_send(encode_segment({1, 2, {0x43}}));
   rig.relay.start();
   rig.sim.run_until(5_s);
-  rig.relay.stop();
   EXPECT_EQ(rig.relay.stats().crc_failures, 1u);
   SegmentParser parser;
   parser.feed(rig.slaves[1]->host_receive());
