@@ -83,6 +83,27 @@ void BM_CoroutineDelayLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutineDelayLoop)->Arg(1'000)->Arg(10'000);
 
+void BM_AdvanceInPlaceLoop(benchmark::State& state) {
+  // The bit-accurate bus's hop walk: after one queued wait, every hop goes
+  // through sim::advance with one far event pending, so each hop advances
+  // in place and, under the kernel's due floor, without a queue read.
+  const auto hops = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim.schedule_at(sim::Time::sec(1), [] {});
+    sim::spawn([&sim, hops]() -> sim::Task<void> {
+      co_await sim::delay(sim, 1_ns);
+      for (int i = 0; i < hops; ++i) {
+        co_await sim::advance(sim, 1_ns);
+      }
+    });
+    sim.run();
+    benchmark::DoNotOptimize(sim.advanced_in_place());
+  }
+  state.SetItemsProcessed(state.iterations() * hops);
+}
+BENCHMARK(BM_AdvanceInPlaceLoop)->Arg(1'000)->Arg(10'000);
+
 void BM_TriggerPingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -8,6 +8,8 @@
 //  * co-simulation plumbing: GDB remote-serial-protocol framing overhead.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 
 #include "src/cosim/report.hpp"
 #include "src/cosim/rsp.hpp"
@@ -40,9 +42,10 @@ space::Tuple sample_entry() {
   return space::make_tuple("entry", std::int64_t{1}, std::move(blob));
 }
 
-/// Round-trip (write + take) time through a client bound to `transport`.
-double measure(sim::Simulator& sim, mw::SpaceClient& client) {
-  double seconds = -1.0;
+/// Round-trip (write + take) time through a client bound to `transport`;
+/// nullopt when the round trip never completes.
+std::optional<double> measure(sim::Simulator& sim, mw::SpaceClient& client) {
+  std::optional<double> seconds;
   sim::spawn([&]() -> sim::Task<void> {
     const sim::Time start = sim.now();
     (void)co_await client.write(sample_entry(), space::kLeaseForever);
@@ -54,7 +57,7 @@ double measure(sim::Simulator& sim, mw::SpaceClient& client) {
   return seconds;
 }
 
-double loopback_case(bool xml, obs::Snapshot* snapshot_out = nullptr) {
+std::optional<double> loopback_case(bool xml, obs::Snapshot* snapshot_out = nullptr) {
   sim::Simulator sim(1);
   space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
@@ -70,13 +73,13 @@ double loopback_case(bool xml, obs::Snapshot* snapshot_out = nullptr) {
     space.bind_metrics(registry);
     client.bind_metrics(registry);
   }
-  const double seconds = measure(sim, client);
+  const std::optional<double> seconds = measure(sim, client);
   // Snapshot before the sim (whose clock the registry borrows) goes away.
   if (snapshot_out != nullptr) *snapshot_out = registry.snapshot();
   return seconds;
 }
 
-double net_case(bool xml, double bandwidth_bps) {
+std::optional<double> net_case(bool xml, double bandwidth_bps) {
   sim::Simulator sim(1);
   space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
@@ -97,7 +100,7 @@ double net_case(bool xml, double bandwidth_bps) {
   return measure(sim, client);
 }
 
-double rsp_pipe_case(bool xml) {
+std::optional<double> rsp_pipe_case(bool xml) {
   sim::Simulator sim(1);
   space::SpaceEngine space(sim);
   std::unique_ptr<mw::Codec> codec;
@@ -162,7 +165,7 @@ CodecThroughput codec_throughput(const mw::Codec& codec, bool tree = false) {
   return result;
 }
 
-double wire_case(bool xml) {
+std::optional<double> wire_case(bool xml) {
   cosim::ScenarioConfig config;
   config.use_xml_codec = xml;
   cosim::WireScenario scenario(config);
@@ -179,10 +182,16 @@ int main() {
   std::printf("(TpWIRE at the Table-4 calibration: 6 kbit/s, firmware "
               "turnaround)\n\n");
 
-  // Every cell is simulated time — deterministic, so all gate.
-  auto keyed = [&bench](const char* name, double seconds) {
-    bench.add_key_metric(name, seconds, obs::Better::kLower, {.unit = "s"});
-    return seconds;
+  // Every cell is simulated time — deterministic, so all gate. A round trip
+  // that never completes has no time to gate: the bench fails instead.
+  auto keyed = [&bench](const char* name, std::optional<double> seconds) {
+    if (!seconds) {
+      std::fprintf(stderr, "transport_stack: %s: round trip never completed\n",
+                   name);
+      std::exit(1);
+    }
+    bench.add_key_metric(name, *seconds, obs::Better::kLower, {.unit = "s"});
+    return *seconds;
   };
   obs::Snapshot loopback_snapshot;
   cosim::TablePrinter table({"transport", "codec", "round trip"});

@@ -25,6 +25,7 @@ EventHandle Simulator::schedule_at(Time at, detail::EventFn fn) {
   }
   const std::uint64_t id = pool_.acquire(std::move(fn), next_seq_++);
   queue_.push({at, id});
+  if (at < due_floor_) due_floor_ = at;
   ++scheduled_;
   if (pool_.live() > peak_pending_) peak_pending_ = pool_.live();
   return EventHandle(id);
@@ -82,8 +83,9 @@ bool Simulator::try_advance(Time at) {
     return false;
   }
   if (loop_.bounded && at > loop_.limit) return false;
-  if (const std::optional<Time> next = next_event_time(); next && *next <= at) {
-    return false;
+  if (due_floor_ <= at) {
+    due_floor_ = next_event_time().value_or(Time::max());
+    if (due_floor_ <= at) return false;
   }
   // Account for the resume event as if it had been scheduled and fired:
   // its seq, its pool slot's round trip, and the pending high-water mark.
@@ -92,6 +94,7 @@ bool Simulator::try_advance(Time at) {
   ++scheduled_;
   if (pool_.live() + 1 > peak_pending_) peak_pending_ = pool_.live() + 1;
   ++executed_;
+  ++advanced_in_place_;
   now_ = at;
   return true;
 }
@@ -141,12 +144,15 @@ void Simulator::bind_metrics(obs::Registry& registry) {
   obs::Counter& scheduled = registry.counter("sim.events.scheduled");
   obs::Counter& fired = registry.counter("sim.events.fired");
   obs::Counter& cancelled = registry.counter("sim.events.cancelled");
+  obs::Counter& in_place = registry.counter("sim.events.advanced_in_place");
   obs::Gauge& depth = registry.gauge("sim.queue.depth");
   obs::Gauge& peak = registry.gauge("sim.queue.peak_depth");
-  registry.add_collector([this, &scheduled, &fired, &cancelled, &depth, &peak] {
+  registry.add_collector([this, &scheduled, &fired, &cancelled, &in_place,
+                          &depth, &peak] {
     scheduled.set(scheduled_);
     fired.set(executed_);
     cancelled.set(cancelled_);
+    in_place.set(advanced_in_place_);
     depth.set(static_cast<double>(pool_.live()));
     peak.set(static_cast<double>(peak_pending_));
   });

@@ -18,19 +18,24 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   trace.tx_word = word;
   trace.expect_reply = expect_reply;
 
+  const sim::Time frame_d = link_.frame_duration();
+  const sim::Time hop = link_.hop_delay();
+
   // TX frame leaves the master. This wait stays a queued event: the caller
   // is still on the stack at `start`. From here on only the kernel's resume
   // event resumes this coroutine, so every later wait may advance the clock
   // in place when nothing else is due first (sim::advance, DESIGN.md §13).
-  co_await sim::delay(*sim_, link_.frame_duration());
+  co_await sim::delay(*sim_, frame_d);
 
   // The frame repeats through the chain; each node sees it one hop later.
+  // Every node sees the same word, so it is decoded once for all of them.
+  const std::optional<TxFrame> decoded = TxFrame::decode(word);
   int responder = -1;
   RxFrame response;
   sim::Time responder_saw_at;
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    co_await sim::advance(*sim_, link_.hop_delay());
-    std::optional<RxFrame> r = chain_[i]->observe_frame(word);
+    co_await sim::advance(*sim_, hop);
+    std::optional<RxFrame> r = chain_[i]->observe_frame(decoded, sim_->now());
     if (r.has_value()) {
       TB_ASSERT(responder < 0);  // at most one selected slave may answer
       responder = static_cast<int>(i);
@@ -40,11 +45,11 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
   }
 
   CycleResult result;
-  const sim::Time timeout_at = start + link_.frame_duration() + link_.rx_timeout();
+  const sim::Time timeout_at = start + frame_d + link_.rx_timeout();
 
   if (!expect_reply) {
     // Broadcast cycle: nobody answers; wait the fixed broadcast gap.
-    const sim::Time until = start + link_.frame_duration() + link_.broadcast_gap();
+    const sim::Time until = start + frame_d + link_.broadcast_gap();
     if (until > sim_->now()) co_await sim::advance(*sim_, until - sim_->now());
     result.status = CycleResult::Status::kOk;
     ++stats_.ok;
@@ -60,8 +65,7 @@ sim::Task<CycleResult> OneWireBus::cycle(TxFrame frame, bool expect_reply) {
       if (chain_[i]->pending_interrupt()) response.intr = true;
     }
     const sim::Time rx_at_master = responder_saw_at + link_.response_delay() +
-                                   link_.frame_duration() +
-                                   link_.hop_delay() * (responder + 1);
+                                   frame_d + hop * (responder + 1);
     if (rx_at_master > timeout_at) {
       // Response exists but arrives after the master gave up.
       if (timeout_at > sim_->now())

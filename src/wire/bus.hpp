@@ -20,10 +20,13 @@
 // This model is the ground truth the faster levels (FrameLevelBus,
 // AnalyticTiming) are cross-validated against: it spends one logical DES
 // event per hop and routes every word through every slave's
-// observe_frame(). When nothing else is due before a hop, the kernel
-// dispatches that hop's event in place (sim::advance, DESIGN.md §13): the
-// clock moves without a queue round trip, and event order, ids and counters
-// read as if the event had been queued.
+// observe_frame(), decoding the TX word once per cycle and handing each
+// slave the decoded frame (the entry point FrameLevelBus uses too). When
+// nothing else is due before a hop, the kernel dispatches that hop's event
+// in place (sim::advance, DESIGN.md §13): the clock moves without a queue
+// round trip, and event order, ids and counters read as if the event had
+// been queued. The kernel's due floor (DESIGN.md §8) makes such a hop cost
+// no queue read unless something was scheduled near it.
 #pragma once
 
 #include "src/wire/bus_model.hpp"

@@ -132,7 +132,8 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
     }
     if (target_pos >= 0) {
       const sim::Time saw_at = tx_done + hop * (target_pos + 1);
-      std::optional<RxFrame> r = chain_[target_pos]->observe_frame(word, saw_at);
+      std::optional<RxFrame> r =
+          chain_[target_pos]->observe_frame(decoded, saw_at);
       if (r.has_value()) {
         responder = target_pos;
         response = *r;
@@ -157,7 +158,7 @@ sim::Task<CycleResult> FrameLevelBus::cycle(TxFrame frame, bool expect_reply) {
     for (int i = 0; i < n; ++i) {
       if (chain_[i] == nullptr) continue;  // destroyed slot: hop only
       const sim::Time saw_at = tx_done + hop * (i + 1);
-      std::optional<RxFrame> r = chain_[i]->observe_frame(word, saw_at);
+      std::optional<RxFrame> r = chain_[i]->observe_frame(decoded, saw_at);
       if (r.has_value()) {
         TB_ASSERT(responder < 0);  // at most one selected slave may answer
         responder = i;

@@ -16,7 +16,10 @@ const char* to_string(WireStatus status) {
 }
 
 Master::Master(BusModel& bus, MasterConfig config)
-    : bus_(&bus), config_(config), mutex_(bus.simulator()) {}
+    : bus_(&bus),
+      config_(config),
+      stale_after_(bus.link().reset_timeout().scaled(0.5)),
+      mutex_(bus.simulator()) {}
 
 WireStatus Master::status_of(const CycleResult& r) {
   switch (r.status) {
@@ -35,7 +38,7 @@ void Master::invalidate_node(std::uint8_t node) { node_cache_.erase(node); }
 
 void Master::invalidate_if_stale() {
   const sim::Time idle = bus_->simulator().now() - last_cycle_at_;
-  if (idle > bus_->link().reset_timeout().scaled(0.5)) {
+  if (idle > stale_after_) {
     selected_address_.reset();
     node_cache_.clear();
   }
@@ -72,12 +75,25 @@ sim::Task<CycleResult> Master::transact(TxFrame frame, bool expect_reply,
   co_return result;
 }
 
-sim::Task<WireStatus> Master::ensure_selected(std::uint8_t address) {
+bool Master::selection_cached(std::uint8_t address) {
   invalidate_if_stale();
   if (config_.cache_state && selected_address_ == address) {
     ++stats_.select_skips;
-    co_return WireStatus::kOk;
+    return true;
   }
+  return false;
+}
+
+bool Master::address_cached(std::uint8_t node, std::uint16_t addr) {
+  if (config_.cache_state && node_cache_[node].address_ptr == addr) {
+    ++stats_.address_skips;
+    return true;
+  }
+  return false;
+}
+
+sim::Task<WireStatus> Master::ensure_selected(std::uint8_t address) {
+  if (selection_cached(address)) co_return WireStatus::kOk;
   const bool broadcast = node_id_of_address(address) == kBroadcastNodeId;
   TxFrame frame{Command::kSelect, address};
   CycleResult r = co_await transact(
@@ -97,12 +113,8 @@ sim::Task<WireStatus> Master::ensure_selected(std::uint8_t address) {
 
 sim::Task<WireStatus> Master::ensure_address(std::uint8_t node,
                                              std::uint16_t addr) {
-  NodeCache& cache = node_cache_[node];
-  if (config_.cache_state && cache.address_ptr == addr) {
-    ++stats_.address_skips;
-    co_return WireStatus::kOk;
-  }
-  cache.address_ptr.reset();
+  if (address_cached(node, addr)) co_return WireStatus::kOk;
+  node_cache_[node].address_ptr.reset();
   // The address pointer is a shift register: always write high then low.
   // Retrying the whole pair is safe — however many stray shifts a lost
   // frame caused, rewriting (hi, lo) lands on the intended value.
@@ -144,10 +156,14 @@ sim::Task<WireStatus> Master::ensure_auto_increment(std::uint8_t node,
 
 sim::Task<ByteResult> Master::reg_read(std::uint8_t node, SysReg reg) {
   ByteResult out;
-  out.status = co_await ensure_selected(system_address(node));
-  if (out.status != WireStatus::kOk) co_return out;
-  out.status = co_await ensure_address(node, static_cast<std::uint16_t>(reg));
-  if (out.status != WireStatus::kOk) co_return out;
+  if (!selection_cached(system_address(node))) {
+    out.status = co_await ensure_selected(system_address(node));
+    if (out.status != WireStatus::kOk) co_return out;
+  }
+  if (!address_cached(node, static_cast<std::uint16_t>(reg))) {
+    out.status = co_await ensure_address(node, static_cast<std::uint16_t>(reg));
+    if (out.status != WireStatus::kOk) co_return out;
+  }
   // FIFO-port reads pop state: retry only on timeout (pop did not happen).
   const bool is_port = (reg == SysReg::kOutboxPort);
   CycleResult r = co_await transact(
@@ -471,12 +487,16 @@ sim::Task<WireStatus> Master::inbox_push(std::uint8_t node,
   ++stats_.operations;
   WireStatus status = WireStatus::kOk;
   std::size_t count = 0;
+  constexpr auto kPort = static_cast<std::uint16_t>(SysReg::kInboxPort);
   for (std::uint8_t byte : bytes) {
-    status = co_await ensure_selected(system_address(node));
-    if (status != WireStatus::kOk) break;
-    status = co_await ensure_address(
-        node, static_cast<std::uint16_t>(SysReg::kInboxPort));
-    if (status != WireStatus::kOk) break;
+    if (!selection_cached(system_address(node))) {
+      status = co_await ensure_selected(system_address(node));
+      if (status != WireStatus::kOk) break;
+    }
+    if (!address_cached(node, kPort)) {
+      status = co_await ensure_address(node, kPort);
+      if (status != WireStatus::kOk) break;
+    }
     CycleResult r = co_await transact(TxFrame{Command::kWriteData, byte},
                                       /*expect_reply=*/true,
                                       RetryPolicy::kTimeoutOnly);

@@ -187,6 +187,14 @@ class Master {
   // Unlocked internals: callers hold mutex_.
   sim::Task<CycleResult> transact(TxFrame frame, bool expect_reply,
                                   RetryPolicy policy);
+
+  /// Cache checks: true, with the skip counted, when the slave already
+  /// holds the wanted selection / address pointer. Plain calls, so the
+  /// per-byte mailbox loops enter a coroutine only on a miss.
+  /// ensure_selected / ensure_address open with the same check; called
+  /// right after a miss, they find the same miss and count nothing.
+  bool selection_cached(std::uint8_t address);
+  bool address_cached(std::uint8_t node, std::uint16_t addr);
   sim::Task<WireStatus> ensure_selected(std::uint8_t address);
   sim::Task<WireStatus> ensure_address(std::uint8_t node, std::uint16_t addr);
   sim::Task<WireStatus> ensure_auto_increment(std::uint8_t node, bool enabled);
@@ -204,6 +212,7 @@ class Master {
 
   BusModel* bus_;
   MasterConfig config_;
+  const sim::Time stale_after_;  ///< invalidate_if_stale()'s idle threshold
   sim::CoMutex mutex_;
   std::optional<std::uint8_t> selected_address_;  ///< nullopt after broadcast
   std::unordered_map<std::uint8_t, NodeCache> node_cache_;

@@ -9,6 +9,7 @@ SlaveDevice::SlaveDevice(sim::Simulator& sim, std::uint8_t node_id,
     : sim_(&sim),
       node_id_(node_id),
       link_(&link),
+      reset_timeout_(link.reset_timeout()),
       config_(config),
       memory_(config.memory_size, 0),
       spi_(std::make_unique<ShiftSpi>()) {
@@ -49,7 +50,7 @@ void SlaveDevice::restart() {
 
 void SlaveDevice::check_watchdog(sim::Time at) {
   if (!seen_valid_frame_) return;  // no bus activity yet: idle, not resetting
-  const sim::Time deadline = last_valid_frame_at_ + link_->reset_timeout();
+  const sim::Time deadline = last_valid_frame_at_ + reset_timeout_;
   if (at > deadline && reset_until_ <= deadline) {
     // The watchdog fired at `deadline`; the pulse ran from there.
     apply_reset();
@@ -134,16 +135,14 @@ void SlaveDevice::notify_pending() {
   }
 }
 
-std::optional<RxFrame> SlaveDevice::observe_frame(std::uint16_t word,
-                                                 sim::Time at) {
+std::optional<RxFrame> SlaveDevice::observe_frame(
+    const std::optional<TxFrame>& frame, sim::Time at) {
   sync_feed_mut();
   observe_at_ = at;
   ++stats_.frames_observed;
   if (!alive_) return std::nullopt;  // dead node: repeater only
   check_watchdog(at);
   if (at < reset_until_) return std::nullopt;  // unresponsive during the reset pulse
-
-  const std::optional<TxFrame> frame = TxFrame::decode(word);
   if (!frame) return std::nullopt;  // only valid frames pet the watchdog
 
   ++stats_.valid_frames;

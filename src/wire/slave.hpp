@@ -2,7 +2,9 @@
 //
 // A slave is the bus controller of one Theseus board. It exposes:
 //  * a bus-side interface — observe_frame(), called by the bus as the TX
-//    frame passes through the node's position in the daisy chain;
+//    frame passes through the node's position in the daisy chain. Both bus
+//    levels decode the TX word once per cycle and hand every slave the
+//    decoded frame (DESIGN.md §13);
 //  * a host-side interface — the board CPU's view: outbox (board -> master),
 //    inbox (master -> board), interrupt raising, and an inbox-byte signal.
 //
@@ -88,7 +90,7 @@ struct SlaveConfig {
 class SlaveDevice {
  public:
   /// `link` supplies the protocol timing constants (reset watchdog / pulse);
-  /// it must outlive the slave.
+  /// it must outlive the slave. The watchdog timeout is read once, here.
   SlaveDevice(sim::Simulator& sim, std::uint8_t node_id, const LinkConfig& link,
               SlaveConfig config = {});
 
@@ -100,20 +102,22 @@ class SlaveDevice {
 
   // --- bus side ---------------------------------------------------------
 
-  /// Called by the bus when the (possibly corrupted) TX word passes this
-  /// node at the current simulated time. Returns the RX response when this
-  /// slave is the selected, non-broadcast target of a valid frame.
-  std::optional<RxFrame> observe_frame(std::uint16_t word) {
-    return observe_frame(word, sim_->now());
-  }
-
-  /// Observation at an explicit time: the frame-level bus computes each
-  /// node's word-arrival instant in closed form instead of advancing the
-  /// simulation clock hop by hop, so `at` may lie ahead of now(). All
+  /// The bus entry point: the TX word passes this node at `at`, and
+  /// `frame` is that word as the bus decoded it once for the whole chain
+  /// (nullopt when the start bit or CRC is wrong). Returns the RX response
+  /// when this slave is the selected, non-broadcast target of a valid
+  /// frame. The bit-accurate bus passes now(); the frame-level bus
+  /// computes each node's arrival instant in closed form instead of
+  /// advancing the clock hop by hop, so `at` may lie ahead of now(). All
   /// time-dependent slave behavior (watchdog, reset pulse, last-valid-frame
-  /// bookkeeping) uses `at`; with `at == now()` this is the bit-accurate
-  /// path unchanged.
-  std::optional<RxFrame> observe_frame(std::uint16_t word, sim::Time at);
+  /// bookkeeping) uses `at`.
+  std::optional<RxFrame> observe_frame(const std::optional<TxFrame>& frame,
+                                       sim::Time at);
+
+  /// Decodes a raw (possibly corrupted) TX word and observes it now.
+  std::optional<RxFrame> observe_frame(std::uint16_t word) {
+    return observe_frame(TxFrame::decode(word), sim_->now());
+  }
 
   /// True when the node has a pending interrupt (board request or non-empty
   /// outbox) — this is what sets the INT bit of passing RX frames.
@@ -268,6 +272,7 @@ class SlaveDevice {
   sim::Simulator* sim_;
   std::uint8_t node_id_;
   const LinkConfig* link_;
+  const sim::Time reset_timeout_;  ///< link_->reset_timeout(), read once
   SlaveConfig config_;
 
   struct IoMapping {

@@ -9,6 +9,7 @@
 #include "src/wire/relay.hpp"
 #include "src/wire/slave.hpp"
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
@@ -304,6 +305,102 @@ TEST(TryAdvance, AdvanceMatchesAQueuedDelayExactly) {
   EXPECT_EQ(std::get<1>(in_place), std::get<1>(queued));
   EXPECT_EQ(std::get<2>(in_place), std::get<2>(queued));
   EXPECT_EQ(std::get<0>(queued).back(), 11_ms);
+}
+
+// --- the due floor (DESIGN.md §8) -----------------------------------------
+//
+// try_advance() reads the queue only when its lower bound on the next live
+// event lies at or before the target. These walks move that bound from
+// inside an in-place walk and check that every hop still advances in place
+// exactly when nothing is due first.
+
+struct Hop {
+  Time at;
+  bool in_place = false;
+  bool operator==(const Hop&) const = default;
+  friend void PrintTo(const Hop& h, std::ostream* os) {
+    *os << '{' << h.at.count_ns() << " ns, "
+        << (h.in_place ? "in place" : "queued") << '}';
+  }
+};
+
+// After a queued first wait to 1 ms, walks `hops` hops of 2 ms, calling
+// `between(i)` before hop i and recording where each hop landed.
+Task<void> hop_walk(Simulator& sim, int hops, std::vector<Hop>& out,
+                    std::function<void(int)> between) {
+  co_await delay(sim, 1_ms);
+  for (int i = 0; i < hops; ++i) {
+    between(i);
+    const std::uint64_t before = sim.advanced_in_place();
+    co_await advance(sim, 2_ms);
+    out.push_back({sim.now(), sim.advanced_in_place() != before});
+  }
+}
+
+TEST(TryAdvance, EventScheduledInsideTheWalkStopsTheNextHop) {
+  Simulator sim;
+  std::vector<Hop> hops;
+  Time fired_at;
+  spawn(hop_walk(sim, 4, hops, [&](int i) {
+    if (i == 2) sim.schedule_in(1_ms, [&] { fired_at = sim.now(); });
+  }));
+  sim.run();
+  const std::vector<Hop> expected = {
+      {3_ms, true}, {5_ms, true}, {7_ms, false}, {9_ms, true}};
+  EXPECT_EQ(hops, expected);
+  EXPECT_EQ(fired_at, 6_ms);
+  EXPECT_EQ(sim.advanced_in_place(), 3u);
+}
+
+TEST(TryAdvance, EventClampedFromThePastStopsTheNextHop) {
+  Simulator sim;
+  std::vector<Hop> hops;
+  Time fired_at;
+  spawn(hop_walk(sim, 3, hops, [&](int i) {
+    if (i == 1) {
+      sim.schedule_at(sim.now() - 1_ms, [&] { fired_at = sim.now(); });
+    }
+  }));
+  sim.run();
+  EXPECT_EQ(fired_at, 3_ms);  // clamped to the instant it was scheduled at
+  EXPECT_EQ(hops,
+            (std::vector<Hop>{{3_ms, true}, {5_ms, false}, {7_ms, true}}));
+}
+
+TEST(TryAdvance, CancelledFloorEventThenALaterOne) {
+  Simulator sim;
+  std::vector<Hop> hops;
+  std::vector<Time> fired;
+  spawn(hop_walk(sim, 6, hops, [&](int i) {
+    if (i != 1) return;
+    // The floor drops to 4 ms and stays there after the cancel: still a
+    // lower bound, though 8 ms is now the earliest live event. The event
+    // scheduled after the cancel, at 10 ms, must not raise it past 8 ms.
+    sim.schedule_at(8_ms, [&] { fired.push_back(sim.now()); });
+    sim.cancel(sim.schedule_at(4_ms, [] {}));
+    sim.schedule_at(10_ms, [&] { fired.push_back(sim.now()); });
+  }));
+  sim.run();
+  EXPECT_EQ(hops, (std::vector<Hop>{{3_ms, true},
+                                    {5_ms, true},
+                                    {7_ms, true},
+                                    {9_ms, false},
+                                    {11_ms, false},
+                                    {13_ms, true}}));
+  EXPECT_EQ(fired, (std::vector<Time>{8_ms, 10_ms}));
+}
+
+TEST(TryAdvance, RunUntilBoundStopsAWalkWithNothingDue) {
+  Simulator sim;
+  std::vector<Hop> hops;
+  spawn(hop_walk(sim, 4, hops, [](int) {}));
+  sim.run_until(6_ms);
+  EXPECT_EQ(hops, (std::vector<Hop>{{3_ms, true}, {5_ms, true}}));
+  EXPECT_EQ(sim.now(), 6_ms);
+  sim.run();
+  const std::vector<Hop> expected = {
+      {3_ms, true}, {5_ms, true}, {7_ms, false}, {9_ms, true}};
+  EXPECT_EQ(hops, expected);
 }
 
 TEST(Task, MoveSemantics) {

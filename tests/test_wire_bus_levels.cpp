@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/net/tpwire_channel.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/process.hpp"
 #include "src/wire/bus.hpp"
 #include "src/wire/frame_bus.hpp"
@@ -455,6 +456,36 @@ TEST(BusLevels, InPlaceHopsMatchStepByStepDispatch) {
     EXPECT_EQ(stepped.peak_pending, sliced.peak_pending) << "seed " << seed;
     EXPECT_EQ(stepped.next_event_id, sliced.next_event_id) << "seed " << seed;
   }
+}
+
+// With nothing else due, every wait of a bit-accurate cycle after the
+// queued TX wait (the five hops, the RX arrival and the interframe gap)
+// advances in place, and the kernel exports each one.
+TEST(BusLevels, HopWalkWithNothingDueAdvancesEveryHopInPlace) {
+  constexpr int kSlaves = 5;
+  sim::Simulator sim(1);
+  obs::Registry registry;
+  sim.bind_metrics(registry);
+  LinkConfig link;
+  OneWireBus bus(sim, link);
+  std::vector<std::unique_ptr<SlaveDevice>> slaves;
+  for (int i = 0; i < kSlaves; ++i) {
+    slaves.push_back(std::make_unique<SlaveDevice>(
+        sim, static_cast<std::uint8_t>(i + 1), link));
+    bus.attach(*slaves.back());
+  }
+  CycleResult result;
+  sim::spawn([&]() -> sim::Task<void> {
+    result = co_await bus.cycle(
+        TxFrame{Command::kSelect, memory_address(kSlaves)}, true);
+  });
+  sim.run();
+  ASSERT_TRUE(result.ok());
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("sim.events.advanced_in_place"),
+            static_cast<std::uint64_t>(kSlaves + 2));
+  EXPECT_EQ(snap.counter_value("sim.events.fired"),
+            static_cast<std::uint64_t>(kSlaves + 3));
 }
 
 TEST(BusLevels, ParseAndFormatLevels) {

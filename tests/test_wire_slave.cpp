@@ -4,6 +4,8 @@
 
 #include "src/util/assert.hpp"
 
+#include <memory>
+
 #include "src/sim/simulator.hpp"
 
 namespace tb::wire {
@@ -337,6 +339,88 @@ TEST_F(SlaveTest, PingReportsInterruptStatus) {
   send(Command::kWriteCommand, cmdbits::kClearInterrupt);
   auto cleared = send(Command::kPing, 0);
   EXPECT_FALSE(cleared->status_interrupt());
+}
+
+// --- the decoded observe path ---------------------------------------------
+
+enum class Start { kSelectedMemory, kSelectedSystem, kUnselected, kBroadcast };
+
+/// A fresh node 5 with three outbox bytes, brought into `start` by frames.
+std::unique_ptr<SlaveDevice> prepared_slave(sim::Simulator& sim,
+                                            const LinkConfig& link,
+                                            Start start) {
+  auto slave = std::make_unique<SlaveDevice>(sim, 5, link);
+  const std::uint8_t outgoing[] = {1, 2, 3};
+  slave->host_send(outgoing);
+  auto send = [&](Command cmd, std::uint8_t data) {
+    slave->observe_frame(TxFrame{cmd, data}.encode());
+  };
+  switch (start) {
+    case Start::kSelectedMemory:
+      send(Command::kSelect, memory_address(5));
+      send(Command::kWriteCommand, cmdbits::kAutoIncrement);
+      send(Command::kWriteAddress, 0x00);
+      send(Command::kWriteAddress, 0x10);
+      break;
+    case Start::kSelectedSystem:
+      send(Command::kSelect, system_address(5));
+      send(Command::kWriteAddress, 0x00);
+      send(Command::kWriteAddress,
+           static_cast<std::uint8_t>(SysReg::kOutboxPort));
+      break;
+    case Start::kUnselected:
+      send(Command::kSelect, memory_address(6));
+      break;
+    case Start::kBroadcast:
+      send(Command::kSelect, memory_address(kBroadcastNodeId));
+      break;
+  }
+  return slave;
+}
+
+void expect_same_slave(const SlaveDevice& a, const SlaveDevice& b) {
+  const SlaveDevice::Stats& sa = a.stats();
+  const SlaveDevice::Stats& sb = b.stats();
+  EXPECT_EQ(sa.frames_observed, sb.frames_observed);
+  EXPECT_EQ(sa.valid_frames, sb.valid_frames);
+  EXPECT_EQ(sa.commands_executed, sb.commands_executed);
+  EXPECT_EQ(sa.resets, sb.resets);
+  EXPECT_EQ(sa.naks, sb.naks);
+  EXPECT_EQ(a.selected(), b.selected());
+  EXPECT_EQ(a.broadcast_selected(), b.broadcast_selected());
+  EXPECT_EQ(a.address_pointer(), b.address_pointer());
+  EXPECT_EQ(a.flags(), b.flags());
+  EXPECT_EQ(a.pending_interrupt(), b.pending_interrupt());
+  EXPECT_EQ(a.in_reset(), b.in_reset());
+  EXPECT_EQ(a.outbox_depth(), b.outbox_depth());
+  EXPECT_EQ(a.inbox_depth(), b.inbox_depth());
+  EXPECT_EQ(a.memory_at(0x10), b.memory_at(0x10));
+}
+
+// The bus hands every slave a word decoded once per cycle; the raw-word
+// overload decodes per call. Over every 16-bit word, corrupt ones included,
+// from every kind of selection, both must leave a fresh slave in the same
+// state with the same reply.
+TEST(SlaveDecodedPath, EveryTxWordMatchesTheWordOverload) {
+  sim::Simulator sim;
+  LinkConfig link;
+  for (Start start : {Start::kSelectedMemory, Start::kSelectedSystem,
+                      Start::kUnselected, Start::kBroadcast}) {
+    for (std::uint32_t w = 0; w <= 0xFFFF; ++w) {
+      const auto word = static_cast<std::uint16_t>(w);
+      auto by_word = prepared_slave(sim, link, start);
+      auto by_frame = prepared_slave(sim, link, start);
+      const std::optional<RxFrame> a = by_word->observe_frame(word);
+      const std::optional<RxFrame> b =
+          by_frame->observe_frame(TxFrame::decode(word), sim.now());
+      ASSERT_EQ(a, b) << "word 0x" << std::hex << w;
+      expect_same_slave(*by_word, *by_frame);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "word 0x" << std::hex << w << " start "
+               << static_cast<int>(start);
+      }
+    }
+  }
 }
 
 }  // namespace
